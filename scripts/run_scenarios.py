@@ -12,7 +12,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def main():
-    rc = 0
     for path in sorted((ROOT / "scenarios").glob("*.json")):
         sc = load_scenario(str(path))
         v = decide(sc.G, sc.ctx, sc.state)
@@ -20,9 +19,7 @@ def main():
         extra = f" class={v.witness}" if v.witness is not None and not v.witness.is_zero else ""
         print(f"{path.stem:12s} {v.outcome:15s} moves={len(v.trace):3d} "
               f"bound={b}{extra}")
-        if v.outcome.startswith("Obstructed"):
-            rc = max(rc, 0)  # expected for the odd scenario; not an error here
-    return rc
+    return 0
 
 
 if __name__ == "__main__":

@@ -52,21 +52,33 @@ class FiniteGroup:
         self.n = n
         self._inv = inv
         if generators is None:
-            generators = list(range(1, n)) or [0]
+            # greedy: each element outside the span so far at least doubles
+            # it, so at most log2(n) generators
+            generators, span = [], {0}
+            for g in range(1, n):
+                if g not in span:
+                    generators.append(g)
+                    span = self._span(generators)
+            generators = generators or [0]
         self.generators = [self.check(g) for g in generators]
         if not self.generators:
             raise GroupError("generator list must be nonempty")
-        closure = {0}
-        frontier = deque(closure)
+        if len(self._span(self.generators)) != n:
+            raise GroupError("generators do not generate the group")
+
+    def _span(self, gens):
+        """Elements of the subgroup generated by ``gens``: in a finite group
+        closing under right multiplication by them is enough."""
+        sub = {0}
+        frontier = deque(sub)
         while frontier:
             x = frontier.popleft()
-            for g in self.generators:
-                for y in (self.mul(x, g), self.mul(x, self.inv(g))):
-                    if y not in closure:
-                        closure.add(y)
-                        frontier.append(y)
-        if len(closure) != n:
-            raise GroupError("generators do not generate the group")
+            for g in gens:
+                y = self.mul(x, g)
+                if y not in sub:
+                    sub.add(y)
+                    frontier.append(y)
+        return sub
 
     # -- basic ops ---------------------------------------------------------
     @property
@@ -105,15 +117,7 @@ class FiniteGroup:
             for a in range(n):
                 for b in range(n):
                     gens.add(self.mul(self.mul(a, b), self.inv(self.mul(b, a))))
-            sub = {0}
-            frontier = deque(sub)
-            while frontier:
-                x = frontier.popleft()
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in sub:
-                        sub.add(y)
-                        frontier.append(y)
+            sub = self._span(gens)
             # coset labels
             coset = {}
             rep = []
@@ -393,8 +397,6 @@ def group_to_json(G):
 
 
 def element_from_json(G, obj):
-    if isinstance(G, FiniteGroup):
-        return G.check(obj)
     return G.check(obj)
 
 

@@ -115,7 +115,7 @@ def invariant_report(G, ctx: Context, state: LinkState) -> InvariantReport:
     )
 
 
-def normalize_dual(ctx: Context, state: LinkState | None = None) -> Context:
+def normalize_dual(ctx: Context) -> Context:
     """Fix the dual-sphere framing flag to the only geometrically possible
     value: trivial normal bundle unless the sphere is s-characteristic."""
     if ctx.dual_sphere is None:

@@ -582,14 +582,11 @@ def encode_params(G, move, params):
     out = {}
     for k, v in params.items():
         if k in _ELEMENT_PARAMS.get(move, ()):
-            out[k] = G_.element_to_json(G, v)
-        elif k == "spec" or (move == "whitney_move" and k == "sigma"):
-            if isinstance(v, WhitneySpec):
-                v = {"a": v.a, "b": v.b, "mode": v.mode, "sigma": list(map(list, dict(v.sigma).items())),
-                     "nu": v.nu, "clean": v.clean, "n": v.n}
-            out[k] = v
-        else:
-            out[k] = v
+            v = G_.element_to_json(G, v)
+        elif k == "spec" and isinstance(v, WhitneySpec):
+            v = {"a": v.a, "b": v.b, "mode": v.mode, "sigma": list(map(list, dict(v.sigma).items())),
+                 "nu": v.nu, "clean": v.clean, "n": v.n}
+        out[k] = v
     return out
 
 
@@ -608,31 +605,59 @@ def decode_params(G, move, params):
     return out
 
 
+class Recorder:
+    """Applies registry moves to a current state and records each one.
+
+    The current state is kept together with its hash, so the pre-hash of a
+    record is the post-hash of the record before it: every state is hashed
+    once, and only after a move has passed its preconditions.
+    """
+
+    def __init__(self, G, ctx, state, trace=None):
+        self.G, self.ctx = G, ctx
+        self.state = state
+        self.hash = None                 # of self.state; None until needed
+        self.trace = [] if trace is None else trace
+
+    def current_hash(self):
+        if self.hash is None:
+            self.hash = state_hash(self.G, self.state)
+        return self.hash
+
+    def do(self, move, **params):
+        """Apply one named move, record it, and return the move's info."""
+        if move not in MOVES:
+            raise MoveError(f"unknown move {move!r}")
+        post, info = MOVES[move](self.G, self.ctx, self.state, **params)
+        rec = MoveRecord(
+            move=move,
+            params=encode_params(self.G, move, params),
+            pre_hash=self.current_hash(),
+            post_hash=state_hash(self.G, post),
+            steps=tuple((n, encode_params(self.G, n, p))
+                        for n, p in info.get("steps", ())),
+        )
+        self.state, self.hash = post, rec.post_hash
+        self.trace.append(rec)
+        return info
+
+
 def apply_move(G, ctx, state, move, params):
     """Apply one named move; returns (post state, record)."""
-    if move not in MOVES:
-        raise MoveError(f"unknown move {move!r}")
-    pre = state_hash(G, state)
-    post_state, info = MOVES[move](G, ctx, state, **params)
-    steps = tuple((n, encode_params(G, n, p)) for n, p in info.get("steps", []))
-    rec = MoveRecord(
-        move=move,
-        params=encode_params(G, move, params),
-        pre_hash=pre,
-        post_hash=state_hash(G, post_state),
-        steps=steps,
-    )
-    return post_state, rec
+    r = Recorder(G, ctx, state)
+    r.do(move, **params)
+    return r.state, r.trace[0]
 
 
 def apply_script(G, ctx, state, script):
     """Run a script (list of {move, params} entries or MoveRecords).
 
     Fails atomically at the first violated precondition: the exception
-    reports the step index and the caller keeps the input state.
+    reports the step index and the caller keeps the input state.  Each
+    state is hashed once; a recorded pre-hash is checked against the hash
+    of the step before.
     """
-    trace = []
-    cur = state
+    r = Recorder(G, ctx, state)
     for i, entry in enumerate(script):
         if isinstance(entry, MoveRecord):
             move, params = entry.move, decode_params(G, entry.move, entry.params)
@@ -642,15 +667,14 @@ def apply_script(G, ctx, state, script):
             params = decode_params(G, move, entry.get("params", {}))
             want_pre, want_post = entry.get("pre_hash"), entry.get("post_hash")
         try:
-            if want_pre and want_pre != state_hash(G, cur):
+            if want_pre and want_pre != r.current_hash():
                 raise MoveError("pre-state hash mismatch")
-            cur, rec = apply_move(G, ctx, cur, move, params)
-            if want_post and want_post != rec.post_hash:
+            r.do(move, **params)
+            if want_post and want_post != r.hash:
                 raise MoveError("post-state hash mismatch")
         except (MoveError, StateError, G_.GroupError) as err:
             raise ScriptError(i, move, str(err)) from err
-        trace.append(rec)
-    return cur, trace
+    return r.state, r.trace
 
 
 # -- public single-move wrappers -------------------------------------------

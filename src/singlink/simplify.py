@@ -12,34 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .invariants import QuotientClass, delta, fq, km, mu, normalize_dual
-from .moves import (
-    MOVES, MoveError, MoveRecord, encode_params, state_hash,
-)
+from .moves import MoveError, Recorder
 from .state import ACTIVE, TYPE1, TYPE2, Context, LinkState, pkey
 
 
 class SimplifyError(ValueError):
     pass
-
-
-class _P:
-    """Trace-collecting pipeline over the move registry."""
-
-    def __init__(self, G, ctx, state, trace=None):
-        self.G, self.ctx = G, ctx
-        self.state = state
-        self.trace = trace if trace is not None else []
-
-    def do(self, move, **params):
-        pre = state_hash(self.G, self.state)
-        self.state, info = MOVES[move](self.G, self.ctx, self.state, **params)
-        steps = tuple((n, encode_params(self.G, n, p))
-                      for n, p in info.get("steps", []))
-        self.trace.append(MoveRecord(
-            move=move, params=encode_params(self.G, move, params),
-            pre_hash=pre, post_hash=state_hash(self.G, self.state),
-            steps=steps))
-        return info
 
 
 # -- type II elimination ----------------------------------------------------
@@ -51,14 +29,15 @@ def _pair_off(P, ids):
         return True
     a = ids[0]
     for b in ids[1:]:
-        snap_state, snap_len = P.state, len(P.trace)
+        snap_state, snap_hash, snap_len = P.state, P.hash, len(P.trace)
         try:
             P.do("whitney_pair_typeII", a=a, b=b)
         except MoveError:
             continue
         if _pair_off(P, [x for x in ids if x not in (a, b)]):
             return True
-        P.state, P.trace[snap_len:] = snap_state, []
+        P.state, P.hash = snap_state, snap_hash
+        del P.trace[snap_len:]
     return False
 
 
@@ -76,7 +55,7 @@ def eliminate_type_II(G, ctx, state):
             raise SimplifyError(
                 f"type II circle {c.id!r} is linked; only split type II "
                 "circles can be cancelled")
-    P = _P(G, ctx, state)
+    P = Recorder(G, ctx, state)
     groups = {}
     for c in state.type2_circles():
         groups.setdefault(G.element_key(c.label), []).append(c.id)
@@ -98,6 +77,16 @@ def _meridians(state, cid):
     return state.linked_ids(cid)
 
 
+def _walk(state, start):
+    """The cycle through ``start``: each entry links the next one's partner."""
+    walk, cur = [], start
+    while True:
+        walk.append(cur)
+        cur = state.circle(state.linked_ids(cur)[0]).partner
+        if cur == start:
+            return walk
+
+
 def reduce_to_hopf(G, ctx, state):
     """Drive a type-I-only state to a single split Hopf pair.
 
@@ -110,7 +99,7 @@ def reduce_to_hopf(G, ctx, state):
     ctx = normalize_dual(ctx)
     if state.type2_circles():
         raise SimplifyError("type II circles present; cancel them first")
-    P = _P(G, ctx, state)
+    P = Recorder(G, ctx, state)
     long_ids = {c.id for c in state.circles}
 
     # 1: resolve every clasp between the entry circles; each resolution
@@ -154,24 +143,21 @@ def reduce_to_hopf(G, ctx, state):
 
     # 3: the linking relation is now a perfect matching; walk each cycle of
     # (link, duality) edges and shorten it until only length-1 cycles
-    # (split Hopf pairs) remain
+    # (split Hopf pairs) remain.  Read backwards through the partners a
+    # walk is again a cycle, so each step shortens in the direction with
+    # fewer inactive entries: after the first step only the merged pair
+    # can need a flip, which keeps the trace linear in the cycle length
     while True:
         cyc = None
         for act, inact in P.state.pairs():
-            nxt = P.state.linked_ids(act.id)[0]
-            if nxt == inact.id:
-                continue
-            walk, cur = [], act.id
-            while True:
-                walk.append(cur)
-                linked = P.state.linked_ids(cur)[0]
-                cur = P.state.circle(linked).partner
-                if cur == walk[0]:
-                    break
-            cyc = walk
-            break
+            if P.state.linked_ids(act.id)[0] != inact.id:
+                cyc = _walk(P.state, act.id)
+                break
         if cyc is None:
             break
+        rev = [P.state.circle(x).partner for x in reversed(cyc)]
+        cyc = min(cyc, rev, key=lambda w: sum(
+            P.state.circle(x).role != ACTIVE for x in w))
         for cid in cyc:
             if P.state.circle(cid).role != ACTIVE:
                 P.do("flip_activity", a=cid)
@@ -198,16 +184,6 @@ def reduce_to_hopf(G, ctx, state):
 # the merged circle reads the inverse of their product; which product shows
 # up is steered by choosing among the valid presentations (rotations and
 # the orientation reversal, which reads inverse labels) before each step
-
-def _cycle_ids(state):
-    start = sorted(c.id for c in state.circles)[0]
-    ids, cur = [], start
-    while True:
-        ids.append(cur)
-        cur = state.circle(state.linked_ids(cur)[0]).partner
-        if cur == start:
-            return ids
-
 
 def _presented(state, ids, rot, rev):
     if rev:
@@ -250,9 +226,9 @@ def reduce_cycle_to_label(G, ctx, state, target):
     target = G.check(target)
     tk = G.element_key(target)
     reach = _reach_fn(G)
-    P = _P(G, ctx, state)
+    P = Recorder(G, ctx, state)
     while True:
-        ids = _cycle_ids(P.state)
+        ids = _walk(P.state, min(c.id for c in P.state.circles))
         if len(ids) == 1:
             break
         chosen = None
@@ -324,10 +300,10 @@ def decide(G, ctx: Context, state: LinkState) -> Verdict:
         # split everything first: the framed clasp loop also works on
         # identity-labeled type II circles, which the cancelling step needs
         # split
-        P = _P(G, ctx, state)
+        P = Recorder(G, ctx, state)
         _eliminate_clasps_framed(P)
         st, tr2 = eliminate_type_II(G, ctx, P.state)
-        P = _P(G, ctx, st, P.trace + tr2)
+        P = Recorder(G, ctx, st, P.trace + tr2)
         _eliminate_clasps_framed(P)
         while P.state.pairs():
             P.do("ambient_surgery", a=P.state.pairs()[0][0].id)
@@ -346,7 +322,7 @@ def decide(G, ctx: Context, state: LinkState) -> Verdict:
     st, tr2, label = reduce_to_hopf(G, ctx, st)
     trace = trace + tr2
     if not np.any(G.eps(label)):
-        P = _P(G, ctx, st, trace)
+        P = Recorder(G, ctx, st, trace)
         pair = P.state.pairs()[0][0].id
         info = P.do("add_hopf_pair", g=G.inv(label))
         info = P.do("merge_hopf_pairs", a=pair, b=info["active"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import groups as G_
 
@@ -62,15 +63,36 @@ class LinkState:
     tw: tuple = ()                   # ((a, b), bit) for equal-labeled type2 pairs
     homology_tag: str | None = None
 
+    # -- index -------------------------------------------------------------
+    # built on first use; the fields, and so the canonical JSON and the
+    # hash, stay the only state
+    @cached_property
+    def _by_id(self):
+        by_id = {}
+        for c in self.circles:
+            by_id.setdefault(c.id, c)
+        return by_id
+
+    @cached_property
+    def _adjacent(self):
+        adj = {}
+        for a, b in self.lk:
+            adj.setdefault(a, []).append(b)
+            if b != a:
+                adj.setdefault(b, []).append(a)
+        for ids in adj.values():
+            ids.sort()
+        return adj
+
     # -- access ------------------------------------------------------------
     def circle(self, cid: str) -> Circle:
-        for c in self.circles:
-            if c.id == cid:
-                return c
-        raise StateError(f"no circle with id {cid!r}")
+        try:
+            return self._by_id[cid]
+        except KeyError:
+            raise StateError(f"no circle with id {cid!r}") from None
 
     def has(self, cid: str) -> bool:
-        return any(c.id == cid for c in self.circles)
+        return cid in self._by_id
 
     def linking(self, a: str, b: str) -> int:
         if a == b:
@@ -79,11 +101,10 @@ class LinkState:
 
     def lk_total(self, cid: str) -> int:
         """lk(C, L - C) mod 2."""
-        return sum(1 for p in self.lk if cid in p) % 2
+        return len(self._adjacent.get(cid, ())) % 2
 
     def linked_ids(self, cid: str):
-        out = [b for a, b in self.lk if a == cid] + [a for a, b in self.lk if b == cid]
-        return sorted(out)
+        return list(self._adjacent.get(cid, ()))
 
     def twist(self, a: str, b: str) -> int:
         k = pkey(a, b)
@@ -117,7 +138,7 @@ class LinkState:
         return sum(1 for p in self.clasps if p == k)
 
     def fresh_ids(self, count: int, prefix: str = "c"):
-        used = {c.id for c in self.circles}
+        used = set(self._by_id)
         out, n = [], 0
         while len(out) < count:
             cid = f"{prefix}{n}"

@@ -300,6 +300,44 @@ class TestScripts:
         assert state_hash(Z, final) == rec.post_hash
 
 
+class TestHashOnce:
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        """States hashed through ``moves.state_hash`` while the test runs."""
+        calls, real = [], moves.state_hash
+
+        def counting(G, state):
+            calls.append(state)
+            return real(G, state)
+        monkeypatch.setattr(moves, "state_hash", counting)
+        return calls
+
+    def test_rejected_move_is_not_hashed(self, hashed):
+        st = state_of(pair("a", (1,)))
+        with pytest.raises(MoveError):
+            apply_move(Z, CTX, st, "clasp_finger", {"a": "a", "b": "ap"})
+        assert hashed == []
+        apply_move(Z, CTX, st, "finger_move", {"a": "a", "b": "ap"})
+        assert len(hashed) == 2
+
+    def test_script_hashes_each_state_once(self, hashed):
+        st = state_of(pair("a", (1,)) + pair("b", (1,)))
+        script = [
+            {"move": "finger_move", "params": {"a": "a", "b": "b"}},
+            {"move": "clasp_finger", "params": {"a": "a", "b": "b"}},
+            {"move": "flip_activity", "params": {"a": "a"}},
+            {"move": "trivial_finger", "params": {"g": [3]}},
+        ]
+        _, trace = apply_script(Z, CTX, st, script)
+        assert len(hashed) == len(script) + 1
+        # replaying the records checks every pre- and post-hash, still
+        # with one hash per state
+        del hashed[:]
+        final, _ = apply_script(Z, CTX, st, trace)
+        assert len(hashed) == len(script) + 1
+        assert moves.state_hash(Z, final) == trace[-1].post_hash
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(standard_groups())),
        st.integers(0, 2 ** 32 - 1))

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,25 @@ class TestDecide:
         assert v.outcome == "Concordant"
         final, _ = apply_script(Z4, FRAMED, state, v.trace)
         assert state_hash(Z4, final) == state_hash(Z4, v.final_state)
+
+    @pytest.mark.parametrize("generators", [None, [1]])
+    def test_large_cyclic_table_default_generators(self, generators):
+        # the default generating set of a table group stays within the
+        # balanced-word generator limit
+        G = FiniteGroup([[(a + b) % 20 for b in range(20)] for a in range(20)],
+                        generators=generators)
+        v = decide(G, SCHAR, cycle_state(G, (1, 3)))
+        assert v.outcome == "Concordant"
+        final, _ = apply_script(G, SCHAR, cycle_state(G, (1, 3)), v.trace)
+        assert not final.circles
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_cycle_trace_is_linear(self, n):
+        rng = random.Random(n)
+        st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+        v = decide(Z, SCHAR, st)
+        assert len(v.trace) <= 6 * n
+        # the records carry both hashes, so replay checks each of them
+        final, replayed = apply_script(Z, SCHAR, st, v.trace)
+        assert len(replayed) == len(v.trace)
+        assert state_hash(Z, final) == state_hash(Z, v.final_state)
