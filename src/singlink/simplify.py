@@ -143,10 +143,10 @@ def reduce_to_hopf(G, ctx, state):
 
     # 3: the linking relation is now a perfect matching; walk each cycle of
     # (link, duality) edges and shorten it until only length-1 cycles
-    # (split Hopf pairs) remain.  Read backwards through the partners a
-    # walk is again a cycle, so each step shortens in the direction with
-    # fewer inactive entries: after the first step only the merged pair
-    # can need a flip, which keeps the trace linear in the cycle length
+    # (split Hopf pairs) remain.  Each step presents the cycle forwards or
+    # reversed, whichever has fewer inactive entries to flip: after the
+    # first step only the merged pair needs one, so the trace stays linear
+    # in the cycle length
     while True:
         cyc = None
         for act, inact in P.state.pairs():
@@ -155,8 +155,7 @@ def reduce_to_hopf(G, ctx, state):
                 break
         if cyc is None:
             break
-        rev = [P.state.circle(x).partner for x in reversed(cyc)]
-        cyc = min(cyc, rev, key=lambda w: sum(
+        cyc = min(cyc, _presented(P.state, cyc, 0, True), key=lambda w: sum(
             P.state.circle(x).role != ACTIVE for x in w))
         for cid in cyc:
             if P.state.circle(cid).role != ACTIVE:
