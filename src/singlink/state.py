@@ -68,10 +68,8 @@ class LinkState:
     # hash, stay the only state
     @cached_property
     def _by_id(self):
-        by_id = {}
-        for c in self.circles:
-            by_id.setdefault(c.id, c)
-        return by_id
+        # reversed: with duplicate ids (an invalid state) the first wins
+        return {c.id: c for c in reversed(self.circles)}
 
     @cached_property
     def _adjacent(self):
