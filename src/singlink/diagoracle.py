@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import moves
+from .moves import MOVES
 from .state import Circle, Context, LinkState, TYPE1, ACTIVE, INACTIVE
 
 
@@ -224,7 +224,7 @@ def _rule_twist(G, report, ks, ms):
                 clasps.append(tuple(sorted((f"C{i}", "A"))))
             st = LinkState(circles=tuple(circles), lk=frozenset(lk),
                            clasps=tuple(clasps)).normalized()
-            post = moves.ambient_surgery(G, ctx, st, "A")
+            post, _ = MOVES["ambient_surgery"](G, ctx, st, a="A")
             d = scene("meridians-with-twist", k=k, m=m)
             for i in range(1, m + 1):
                 for j in range(i + 1, m + 1):
@@ -239,7 +239,7 @@ def _rule_belt(G, report):
     st = LinkState(circles=tuple(_pair("U", G=G))).normalized()
     spec = {"a": "U", "b": "Up", "mode": "inverse", "nu": 0,
             "clean": False, "n": 1}
-    post, info = moves._whitney_move(G, ctx, st, spec)
+    post, info = MOVES["whitney_move"](G, ctx, st, spec=spec)
     (o1, _), (o2, _) = info["outputs"]
     belts = sorted(c.id for c in post.circles if c.id.startswith("belt")
                    and post.circle(c.id).role == ACTIVE)
@@ -269,7 +269,7 @@ def _rule_band_sum(G, report, rng=(-2, 3)):
             st = LinkState(circles=tuple(circles), lk=frozenset(lk),
                            clasps=tuple(clasps)).normalized()
             spec = {"a": "A", "b": "B", "mode": "equal", "clean": True}
-            post, info = moves._whitney_move(G, ctx, st, spec)
+            post, info = MOVES["whitney_move"](G, ctx, st, spec=spec)
             c, _ = info["outputs"]
             _check(report, ("merge", p, q), post.linking(c, "X"), bit)
 
@@ -279,7 +279,7 @@ def _rule_clasp_finger(G, report):
     circles = _pair("A", G=G) + _pair("B", G=G)
     st = LinkState(circles=tuple(circles), lk=frozenset({("A", "B")}),
                    clasps=(("A", "B"),)).normalized()
-    post, info = moves._clasp_finger(G, Context(), st, "A", "B")
+    post, info = MOVES["clasp_finger"](G, Context(), st, a="A", b="B")
     e, ep = info["spawned"]
     for case, got, pair in (
         (("meridian", "A"), post.linking(e, "Ap"), ("E", "Ap")),

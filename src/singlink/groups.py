@@ -14,12 +14,14 @@ coefficients) and ``balanced_word``.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 
 import numpy as np
 
 MAX_TABLE_ORDER = 255
 MAX_GENERATORS = 16
+_ASSOC_ROWS = 16                 # rows per block of the associativity check
 
 
 class GroupError(ValueError):
@@ -38,11 +40,13 @@ class FiniteGroup:
             raise GroupError("table entries out of range")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise GroupError("index 0 must be the identity")
-        # associativity: (ab)c == a(bc) for all triples, vectorized
-        left = t[t, :]                      # left[a,b,c] = t[t[a,b], c]
-        right = t[:, t]                     # right[a,b,c] = t[a, t[b,c]]
-        if not np.array_equal(left, right):
-            raise GroupError("table is not associative")
+        # associativity: (ab)c == a(bc) for all triples, vectorized over
+        # blocks of rows a so memory stays O(n^2)
+        for lo in range(0, n, _ASSOC_ROWS):
+            blk = t[lo:lo + _ASSOC_ROWS]
+            # t[blk][a,b,c] = t[t[a,b], c];  blk[:, t][a,b,c] = t[a, t[b,c]]
+            if not np.array_equal(t[blk], blk[:, t]):
+                raise GroupError("table is not associative")
         inv = np.full(n, -1, dtype=np.int64)
         rows, cols = np.where(t == 0)
         inv[rows] = cols
@@ -154,14 +158,14 @@ class FiniteGroup:
         return coords[coset[self.check(g)]].astype(np.uint8)
 
     # -- balanced words ----------------------------------------------------
-    def balanced_word(self, x, generators=None):
+    def balanced_word(self, x):
         """Word in the generators multiplying to ``x`` with every generator
         appearing an even number of times; BFS over (element, parity) pairs.
 
         Returns a list of (generator index, exponent) letters or raises if no
         such word exists.
         """
-        gens = [self.check(g) for g in (generators if generators is not None else self.generators)]
+        gens = self.generators
         if len(gens) > MAX_GENERATORS:
             raise GroupError(f"at most {MAX_GENERATORS} generators supported")
         x = self.check(x)
@@ -221,7 +225,10 @@ class AbelianGroup:
         return (0,) * self.dim
 
     def check(self, g):
-        v = tuple(int(c) for c in g)
+        try:
+            v = tuple(map(operator.index, g))
+        except TypeError:
+            raise GroupError(f"not a group element: {g!r}") from None
         if len(v) != self.dim:
             raise GroupError(f"element has wrong length: {g!r}")
         return self._normal(v)
@@ -271,13 +278,12 @@ class AbelianGroup:
                 bits.append(g[self.rank + i] % 2)
         return np.array(bits, dtype=np.uint8)
 
-    def balanced_word(self, x, generators=None):
+    def balanced_word(self, x):
         """Balanced word via the half-element trick: find y with 2y = x and a
         word for y, then repeat that word twice."""
-        gens = [self.check(g) for g in (generators if generators is not None else self.generators)]
         x = self.check(x)
         y = self._half(x)
-        coeffs = self._solve(gens, y)
+        coeffs = self._solve(self.generators, y)
         word = []
         for i, c in enumerate(coeffs):
             word.extend([(i, 1 if c > 0 else -1)] * abs(int(c)))

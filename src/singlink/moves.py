@@ -9,7 +9,9 @@ property suite, not re-derived here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+import operator
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -157,12 +159,19 @@ def _introduce_type_II(G, ctx, state):
 
 
 def _flip_activity(G, ctx, state, a):
+    """Swap the active/inactive roles in the type I pair of ``a``,
+    inverting the label; linking, clasps and twists do not see roles."""
     c = state.circle(a)
     if c.kind != TYPE1:
         raise MoveError(f"{a!r} is not a type I circle")
     act = c if c.role == ACTIVE else state.circle(c.partner)
-    from .state import flip_activity as _fa
-    return _fa(G, state, act.id), {"active": act.partner}
+    if act.kind != TYPE1 or act.role != ACTIVE:
+        raise StateError(f"{act.id!r} is not an active type I circle")
+    inact = state.circle(act.partner)
+    swap = {act.id: replace(act, role=INACTIVE, label=None),
+            inact.id: replace(inact, role=ACTIVE, label=G.inv(act.label))}
+    circles = tuple(swap.get(x.id, x) for x in state.circles)
+    return replace(state, circles=circles), {"active": inact.id}
 
 
 # -- whitney moves ---------------------------------------------------------
@@ -176,6 +185,20 @@ class WhitneySpec:
     nu: int | None = None
     clean: bool = True
     n: int = 0
+
+
+def _as_spec(spec):
+    """The spec as a WhitneySpec with its bits reduced mod 2; a malformed
+    spec raises MoveError."""
+    try:
+        if isinstance(spec, dict):
+            spec = WhitneySpec(**spec)
+        sigma = {x: (int(s1) & 1, int(s2) & 1) for x, (s1, s2) in spec.sigma}
+        nu = None if spec.nu is None else int(spec.nu) & 1
+        n = operator.index(spec.n)
+    except (AttributeError, TypeError, ValueError):
+        raise MoveError(f"malformed whitney spec {spec!r}") from None
+    return replace(spec, sigma=tuple(sigma.items()), nu=nu, n=n)
 
 
 def _add_belts(G, bld, fresh_source, targets, n):
@@ -235,16 +258,14 @@ def _whitney_split(G, ctx, state, spec, act, inact):
         raise MoveError(
             "a third circle links both members; split assignment ambiguous")
     sigma = dict(spec.sigma)
-    for x, bits in sigma.items():
-        s1, s2 = int(bits[0]) & 1, int(bits[1]) & 1
+    for x, (s1, s2) in sigma.items():
         want = (1 if x in (t_act | t_in) else 0)
         if (s1 + s2) % 2 != want:
             raise MoveError(f"split assignment for {x!r} has wrong parity")
-        sigma[x] = (s1, s2)
     schar = ctx.s_characteristic and ctx.dual_sphere is not None
     if spec.n % 2 and schar:
         raise MoveError("odd intersection count breaks dual-pair parity")
-    nu = 0 if spec.nu is None else int(spec.nu) & 1
+    nu = spec.nu or 0
 
     def route(x):
         s1, _ = sigma.get(x, (1, 0))
@@ -287,7 +308,7 @@ def _whitney_merge(G, ctx, state, spec, cu, cv):
     ru, rv = state.read(G, u), state.read(G, v)
     if G.element_key(ru) != G.element_key(rv):
         raise MoveError("band-end labels incompatible")
-    if dict(spec.sigma):
+    if spec.sigma:
         raise MoveError("split assignment is not consulted when merging")
     act1 = cu if cu.role == ACTIVE else up
     in1 = up if cu.role == ACTIVE else cu
@@ -305,12 +326,9 @@ def _whitney_merge(G, ctx, state, spec, cu, cv):
         + state.linking(act1.id, in2.id) + state.linking(in1.id, act2.id)
     ) % 2
     schar = ctx.s_characteristic and ctx.dual_sphere is not None
-    if spec.nu is None:
-        nu = nu_forced
-    else:
-        nu = int(spec.nu) & 1
-        if schar and nu != nu_forced:
-            raise MoveError("mutual-linking bit inconsistent with dual-pair parity")
+    nu = nu_forced if spec.nu is None else spec.nu
+    if schar and nu != nu_forced:
+        raise MoveError("mutual-linking bit inconsistent with dual-pair parity")
     row_c = {x for x in state.linked_ids(u) if x not in part}
     row_c ^= {x for x in state.linked_ids(v) if x not in part}
     row_cp = {x for x in state.linked_ids(up.id) if x not in part}
@@ -333,8 +351,7 @@ def _whitney_merge(G, ctx, state, spec, cu, cv):
 
 
 def _whitney_move(G, ctx, state, spec):
-    if isinstance(spec, dict):
-        spec = WhitneySpec(**spec)
+    spec = _as_spec(spec)
     if spec.mode not in ("equal", "inverse"):
         raise MoveError(f"unknown pairing mode {spec.mode!r}")
     if spec.n < 0 or (spec.clean and spec.n):
@@ -343,12 +360,12 @@ def _whitney_move(G, ctx, state, spec):
     if ca.kind == TYPE2 and cb.kind == TYPE2:
         if spec.mode != "equal":
             raise MoveError("type II circles pair with equal labels")
-        if dict(spec.sigma):
+        if spec.sigma:
             raise MoveError("type II pairing takes no split assignment")
         if spec.n % 2:
             raise MoveError("odd intersection count breaks the twist readout")
         bld, (O, Op) = _pair_from_type2(G, ctx, state, spec.a, spec.b)
-        if spec.nu is not None and (int(spec.nu) & 1) != state.twist(spec.a, spec.b):
+        if spec.nu is not None and spec.nu != state.twist(spec.a, spec.b):
             raise MoveError("mutual-linking bit must equal the recorded twist")
         _add_belts(G, bld, state, (O, Op), spec.n)
         return bld.state(), {"outputs": (O, Op)}
@@ -445,13 +462,11 @@ class _Runner:
         self.G, self.ctx = G, ctx
         self.state = state
         self.steps = []
-        self.info = None
 
     def do(self, name, **params):
-        fn = _PRIMITIVES[name]
-        self.state, self.info = fn(self.G, self.ctx, self.state, **params)
+        self.state, info = _PRIMITIVES[name](self.G, self.ctx, self.state, **params)
         self.steps.append((name, dict(params)))
-        return self.info
+        return info
 
 
 def _move_meridian(G, ctx, state, a, e):
@@ -470,10 +485,9 @@ def _move_meridian(G, ctx, state, a, e):
 
 
 def _shorten_cycle(G, ctx, state, actives):
-    actives = list(actives)
+    if not isinstance(actives, (list, tuple)) or len(actives) < 2:
+        raise MoveError("a cycle to shorten lists at least two circles")
     m = len(actives)
-    if m < 2:
-        raise MoveError("a cycle of length 1 cannot be shortened")
     if ctx.dual_sphere != "unframed":
         raise MoveError("cycle shortening needs an unframed dual sphere")
     circles = [state.circle(x) for x in actives]
@@ -500,10 +514,7 @@ def _shorten_cycle(G, ctx, state, actives):
     e_read = G.mul(g1, g2)
     if tk != G.element_key(e_read) and tk == G.element_key(G.inv(e_read)):
         r.do("flip_activity", a=E)
-        merged = Ep
-    else:
-        merged = E
-    return r.state, {"steps": r.steps, "merged": merged}
+    return r.state, {"steps": r.steps}
 
 
 def _add_hopf_pair(G, ctx, state, g):
@@ -575,6 +586,10 @@ _COMPOSITES = {
 
 MOVES = {**_PRIMITIVES, **_COMPOSITES}
 
+# parameter names of each move, after (G, ctx, state)
+_PARAMS = {name: frozenset(list(inspect.signature(fn).parameters)[3:])
+           for name, fn in MOVES.items()}
+
 _ELEMENT_PARAMS = {"trivial_finger": ("g",), "add_hopf_pair": ("g",)}
 
 
@@ -584,24 +599,22 @@ def encode_params(G, move, params):
         if k in _ELEMENT_PARAMS.get(move, ()):
             v = G_.element_to_json(G, v)
         elif k == "spec" and isinstance(v, WhitneySpec):
-            v = {"a": v.a, "b": v.b, "mode": v.mode, "sigma": list(map(list, dict(v.sigma).items())),
-                 "nu": v.nu, "clean": v.clean, "n": v.n}
+            v = {**vars(v), "sigma": list(map(list, dict(v.sigma).items()))}
         out[k] = v
     return out
 
 
 def decode_params(G, move, params):
-    out = {}
-    for k, v in params.items():
-        if k in _ELEMENT_PARAMS.get(move, ()):
-            out[k] = G_.element_from_json(G, v)
-        elif move == "whitney_move" and k == "spec" and isinstance(v, dict):
-            v = dict(v)
-            if "sigma" in v:
-                v["sigma"] = tuple((x, tuple(bits)) for x, bits in v["sigma"])
-            out[k] = v
-        else:
-            out[k] = v
+    """The params of a script entry as the move takes them; a malformed
+    entry raises MoveError or GroupError."""
+    if not isinstance(move, str) or move not in MOVES:
+        raise MoveError(f"unknown move {move!r}")
+    if not isinstance(params, dict) or params.keys() != _PARAMS[move]:
+        raise MoveError(
+            f"expected parameters {sorted(_PARAMS[move])}, got {params!r}")
+    out = dict(params)
+    for k in _ELEMENT_PARAMS.get(move, ()):
+        out[k] = G_.element_from_json(G, out[k])
     return out
 
 
@@ -660,68 +673,19 @@ def apply_script(G, ctx, state, script):
     r = Recorder(G, ctx, state)
     for i, entry in enumerate(script):
         if isinstance(entry, MoveRecord):
-            move, params = entry.move, decode_params(G, entry.move, entry.params)
-            want_pre, want_post = entry.pre_hash, entry.post_hash
-        else:
-            move = entry.get("move")
-            params = decode_params(G, move, entry.get("params", {}))
-            want_pre, want_post = entry.get("pre_hash"), entry.get("post_hash")
+            entry = vars(entry)          # the record's fields, as a dict
+        move = entry.get("move") if isinstance(entry, dict) else None
         try:
+            if not isinstance(entry, dict):
+                raise MoveError(f"not a move entry: {entry!r}")
+            params = decode_params(G, move, entry.get("params", {}))
+            want_pre = entry.get("pre_hash")
             if want_pre and want_pre != r.current_hash():
                 raise MoveError("pre-state hash mismatch")
             r.do(move, **params)
+            want_post = entry.get("post_hash")
             if want_post and want_post != r.hash:
                 raise MoveError("post-state hash mismatch")
         except (MoveError, StateError, G_.GroupError) as err:
             raise ScriptError(i, move, str(err)) from err
     return r.state, r.trace
-
-
-# -- public single-move wrappers -------------------------------------------
-
-def clasp_finger(G, ctx, state, a, b):
-    return _clasp_finger(G, ctx, state, a, b)[0]
-
-
-def finger_move(G, ctx, state, a, b):
-    return _finger_move(G, ctx, state, a, b)[0]
-
-
-def trivial_finger(G, ctx, state, g):
-    return _trivial_finger(G, ctx, state, g)[0]
-
-
-def introduce_type_II(G, ctx, state):
-    return _introduce_type_II(G, ctx, state)[0]
-
-
-def whitney_move(G, ctx, state, spec):
-    return _whitney_move(G, ctx, state, spec)[0]
-
-
-def whitney_pair_typeII(G, ctx, state, a, b):
-    return _whitney_pair_typeII(G, ctx, state, a, b)[0]
-
-
-def ambient_surgery(G, ctx, state, a):
-    return _ambient_surgery(G, ctx, state, a)[0]
-
-
-def move_meridian(G, ctx, state, a, e):
-    return _move_meridian(G, ctx, state, a, e)[0]
-
-
-def shorten_cycle(G, ctx, state, actives):
-    return _shorten_cycle(G, ctx, state, actives)[0]
-
-
-def merge_hopf_pairs(G, ctx, state, a, b):
-    return _merge_hopf_pairs(G, ctx, state, a, b)[0]
-
-
-def add_hopf_pair(G, ctx, state, g):
-    return _add_hopf_pair(G, ctx, state, g)[0]
-
-
-def remove_trivial_hopf_pairs(G, ctx, state, a, b):
-    return _remove_trivial_hopf_pairs(G, ctx, state, a, b)[0]

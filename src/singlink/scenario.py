@@ -59,13 +59,16 @@ def scenario_to_json(sc: Scenario) -> dict:
     }
 
 
-def load_scenario(path: str) -> Scenario:
+def _load_json(path: str):
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as err:
             raise ScenarioError(f"not valid JSON: {err}") from err
-    return scenario_from_json(obj)
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_json(_load_json(path))
 
 
 def record_to_json(rec: MoveRecord) -> dict:
@@ -92,9 +95,4 @@ def script_from_json(obj):
 
 
 def load_script(path: str):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ScenarioError(f"not valid JSON: {err}") from err
-    return script_from_json(obj)
+    return script_from_json(_load_json(path))

@@ -73,8 +73,12 @@ def eliminate_type_II(G, ctx, state):
 
 # -- reduction to a single hopf pair ---------------------------------------
 
-def _meridians(state, cid):
-    return state.linked_ids(cid)
+def _shorten(P, cyc):
+    """Flip the inactive entries of a presented cycle, then shorten it."""
+    for cid in cyc:
+        if P.state.circle(cid).role != ACTIVE:
+            P.do("flip_activity", a=cid)
+    P.do("shorten_cycle", actives=cyc)
 
 
 def _walk(state, start):
@@ -117,7 +121,7 @@ def reduce_to_hopf(G, ctx, state):
     while True:
         action = None
         for act, inact in P.state.pairs():
-            ma, mi = _meridians(P.state, act.id), _meridians(P.state, inact.id)
+            ma, mi = P.state.linked_ids(act.id), P.state.linked_ids(inact.id)
             if not ma and not mi:
                 action = ("surgery", act.id)
             elif len(ma) > len(mi):
@@ -155,12 +159,9 @@ def reduce_to_hopf(G, ctx, state):
                 break
         if cyc is None:
             break
-        cyc = min(cyc, _presented(P.state, cyc, 0, True), key=lambda w: sum(
-            P.state.circle(x).role != ACTIVE for x in w))
-        for cid in cyc:
-            if P.state.circle(cid).role != ACTIVE:
-                P.do("flip_activity", a=cid)
-        P.do("shorten_cycle", actives=cyc)
+        rev = _presented(P.state, cyc, 0, True)
+        _shorten(P, min(cyc, rev, key=lambda w: sum(
+            P.state.circle(x).role != ACTIVE for x in w)))
 
     # 4: merge the split Hopf pairs into one
     if not P.state.pairs():
@@ -243,10 +244,7 @@ def reduce_cycle_to_label(G, ctx, state, target):
                 break
         if chosen is None:
             raise SimplifyError("target label is not realizable from this cycle")
-        for cid in chosen:
-            if P.state.circle(cid).role != ACTIVE:
-                P.do("flip_activity", a=cid)
-        P.do("shorten_cycle", actives=chosen)
+        _shorten(P, chosen)
     act = P.state.pairs()[0][0]
     if G.element_key(act.label) != tk:
         if G.element_key(G.inv(act.label)) != tk:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import groups as G_
@@ -86,11 +86,8 @@ class LinkState:
     def circle(self, cid: str) -> Circle:
         try:
             return self._by_id[cid]
-        except KeyError:
+        except (KeyError, TypeError):         # TypeError: an unhashable id
             raise StateError(f"no circle with id {cid!r}") from None
-
-    def has(self, cid: str) -> bool:
-        return cid in self._by_id
 
     def linking(self, a: str, b: str) -> int:
         if a == b:
@@ -147,9 +144,6 @@ class LinkState:
         return out
 
     # -- construction helpers ---------------------------------------------
-    def with_circles(self, circles):
-        return replace(self, circles=tuple(sorted(circles, key=lambda c: c.id)))
-
     def normalized(self):
         return LinkState(
             circles=tuple(sorted(self.circles, key=lambda c: c.id)),
@@ -267,18 +261,6 @@ def validate(G, ctx: Context, state: LinkState) -> ValidationReport:
     if ctx.s_characteristic and ctx.dual_sphere == "framed":
         rep.warnings.append(("framed-dual-forced-unframed", None))
     return rep
-
-
-def flip_activity(G, state: LinkState, active_id: str) -> LinkState:
-    """Swap the active/inactive roles in a type I pair, inverting the label."""
-    act = state.circle(active_id)
-    if act.kind != TYPE1 or act.role != ACTIVE:
-        raise StateError(f"{active_id!r} is not an active type I circle")
-    inact = state.circle(act.partner)
-    new_act = replace(act, role=INACTIVE, label=None)
-    new_inact = replace(inact, role=ACTIVE, label=G.inv(act.label))
-    others = [c for c in state.circles if c.id not in (act.id, inact.id)]
-    return state.with_circles(others + [new_act, new_inact])
 
 
 # -- serialization ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,19 @@ class TestFiniteGroup:
         assert G.mul(2, 4) != G.mul(4, 2)
         assert G.mul(G.mul(2, 4), G.inv(G.mul(4, 2))) == 1
 
+    def test_order_255_check_memory(self):
+        # the associativity check of the largest table stays O(n^2), not
+        # two n^3 arrays (about 270 MB at order 255)
+        n = 255
+        t = (np.arange(n)[:, None] + np.arange(n)) % n
+        tracemalloc.start()
+        try:
+            FiniteGroup(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
     def test_klein_involutions(self):
         G = FiniteGroup(klein_table())
         assert G.two_torsion() == [1, 2, 3]
@@ -74,6 +89,11 @@ class TestAbelianGroup:
     def test_check_rejects_wrong_length(self):
         with pytest.raises(GroupError):
             AbelianGroup(2).check((1,))
+
+    @pytest.mark.parametrize("g", ["ab", ["x"], [1.5], 5, [None]])
+    def test_check_rejects_non_integer_coordinates(self, g):
+        with pytest.raises(GroupError):
+            AbelianGroup(1).check(g)
 
 
 @pytest.mark.parametrize("name", sorted(standard_groups()))

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from singlink import moves
 from singlink.groups import AbelianGroup
 from singlink.invariants import delta, mu
-from singlink.moves import MoveError, ScriptError, WhitneySpec, apply_move, apply_script
+from singlink.moves import (
+    MOVES, MoveError, ScriptError, WhitneySpec, apply_move, apply_script,
+)
 from singlink.randwalk import random_step, seed_state, standard_groups
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
@@ -35,7 +37,7 @@ class TestCrossingMoves:
     def test_clasp_finger_spawns_meridians(self):
         st = state_of(pair("a", (2,)) + pair("b", (5,)),
                       lk={("a", "b")}, clasps=[("a", "b")])
-        post, info = moves._clasp_finger(Z, CTX, st, "a", "b")
+        post, info = MOVES["clasp_finger"](Z, CTX, st, a="a", b="b")
         e, ep = info["spawned"]
         assert post.linking("a", "b") == 0
         assert post.clasp_count("a", "b") == 0
@@ -48,11 +50,11 @@ class TestCrossingMoves:
     def test_clasp_finger_needs_a_clasp(self):
         st = state_of(pair("a") + pair("b"))
         with pytest.raises(MoveError):
-            moves.clasp_finger(Z, CTX, st, "a", "b")
+            MOVES["clasp_finger"](Z, CTX, st, a="a", b="b")
 
     def test_finger_move_adds_clasp(self):
         st = state_of(pair("a", (1,)) + pair("b", (1,)))
-        post, info = moves._finger_move(Z, CTX, st, "a", "b")
+        post, info = MOVES["finger_move"](Z, CTX, st, a="a", b="b")
         assert post.linking("a", "b") == 1
         assert post.clasp_count("a", "b") == 1
         assert post.circle(info["spawned"][0]).label == (0,)
@@ -60,7 +62,7 @@ class TestCrossingMoves:
 
     def test_self_clasp(self):
         st = state_of(pair("a", (1,)))
-        post, info = moves._finger_move(Z, CTX, st, "a", "a")
+        post, info = MOVES["finger_move"](Z, CTX, st, a="a", b="a")
         e, ep = info["spawned"]
         assert post.clasp_count("a", "a") == 1
         # both meridians sit on the dual
@@ -72,7 +74,7 @@ class TestCrossingMoves:
         cs = [Circle("s", TYPE2, "s", None, (1,))] + pair("a", G.identity)
         st = state_of(cs)
         with pytest.raises(MoveError):
-            moves.finger_move(G, CTX, st, "s", "a")
+            MOVES["finger_move"](G, CTX, st, a="s", b="a")
 
 
 class TestWhitney:
@@ -82,7 +84,7 @@ class TestWhitney:
                       clasps=[("a", "x"), ("ap", "y")])
         spec = WhitneySpec(a="a", b="ap", mode="inverse",
                            sigma=(("x", (0, 1)), ("y", (0, 1))))
-        post, info = moves._whitney_move(Z, CTX, st, spec)
+        post, info = MOVES["whitney_move"](Z, CTX, st, spec=spec)
         (o1, o1p), (o2, o2p) = info["outputs"]
         assert post.circle(o1).label == (2,)
         assert post.circle(o2).label == (2,)
@@ -97,29 +99,31 @@ class TestWhitney:
                       clasps=[("a", "x"), ("ap", "y")])
         spec = WhitneySpec(a="a", b="ap", mode="inverse",
                            sigma=(("x", (1, 0)), ("y", (0, 1))))
-        post, info = moves._whitney_move(Z, CTX, st, spec)
+        post, info = MOVES["whitney_move"](Z, CTX, st, spec=spec)
         (o1, _), (o2, _) = info["outputs"]
         assert post.linking(o1, o2) == 1
 
     def test_split_rejects_linked_pair(self):
         st = state_of(pair("a"), lk={("a", "ap")}, clasps=[("a", "ap")])
         with pytest.raises(MoveError):
-            moves.whitney_move(Z, CTX, st, WhitneySpec(a="a", b="ap", mode="inverse"))
+            MOVES["whitney_move"](
+                Z, CTX, st, spec=WhitneySpec(a="a", b="ap", mode="inverse"))
 
     def test_split_rejects_shared_third_circle(self):
         st = state_of(pair("a") + pair("x"),
                       lk={("a", "x"), ("ap", "x")},
                       clasps=[("a", "x"), ("ap", "x")])
         with pytest.raises(MoveError):
-            moves.whitney_move(Z, CTX, st, WhitneySpec(a="a", b="ap", mode="inverse"))
+            MOVES["whitney_move"](
+                Z, CTX, st, spec=WhitneySpec(a="a", b="ap", mode="inverse"))
 
     def test_merge_xors_rows(self):
         circles = pair("a", (1,)) + pair("b", (1,)) + pair("x") + pair("y")
         st = state_of(circles,
                       lk={("a", "x"), ("b", "x"), ("b", "y")},
                       clasps=[("a", "x"), ("b", "x"), ("b", "y")])
-        post, info = moves._whitney_move(
-            Z, CTX, st, WhitneySpec(a="a", b="b", mode="equal"))
+        post, info = MOVES["whitney_move"](
+            Z, CTX, st, spec=WhitneySpec(a="a", b="b", mode="equal"))
         c, cp = info["outputs"]
         assert post.circle(c).label == (1,)
         assert post.linking(c, "x") == 0   # both summands linked x
@@ -129,20 +133,22 @@ class TestWhitney:
     def test_merge_mode_must_match_roles(self):
         st = state_of(pair("a", (1,)) + pair("b", (1,)))
         with pytest.raises(MoveError):
-            moves.whitney_move(Z, CTX, st, WhitneySpec(a="a", b="b", mode="inverse"))
+            MOVES["whitney_move"](
+                Z, CTX, st, spec=WhitneySpec(a="a", b="b", mode="inverse"))
 
     def test_merge_label_mismatch(self):
         st = state_of(pair("a", (1,)) + pair("b", (2,)))
         with pytest.raises(MoveError):
-            moves.whitney_move(Z, CTX, st, WhitneySpec(a="a", b="b", mode="equal"))
+            MOVES["whitney_move"](
+                Z, CTX, st, spec=WhitneySpec(a="a", b="b", mode="equal"))
 
     def test_merge_forced_nu_under_schar(self):
         st = state_of(pair("a", (1,)) + pair("b", (1,)))
         with pytest.raises(MoveError):
-            moves.whitney_move(Z, SCHAR, st,
-                               WhitneySpec(a="a", b="b", mode="equal", nu=1))
-        post = moves.whitney_move(Z, SCHAR, st,
-                                  WhitneySpec(a="a", b="b", mode="equal", nu=0))
+            MOVES["whitney_move"](
+                Z, SCHAR, st, spec=WhitneySpec(a="a", b="b", mode="equal", nu=1))
+        post, _ = MOVES["whitney_move"](
+            Z, SCHAR, st, spec=WhitneySpec(a="a", b="b", mode="equal", nu=0))
         assert validate(Z, SCHAR, post).ok
 
     def test_pair_type2_reads_twist(self):
@@ -150,7 +156,7 @@ class TestWhitney:
         cs = [Circle("s0", TYPE2, "s0", None, (1,)),
               Circle("s1", TYPE2, "s1", None, (1,))]
         st = state_of(cs, tw=[(pkey("s0", "s1"), 1)])
-        post, info = moves._whitney_pair_typeII(G, CTX, st, "s0", "s1")
+        post, info = MOVES["whitney_pair_typeII"](G, CTX, st, a="s0", b="s1")
         o, op = info["outputs"]
         assert post.linking(o, op) == 1
         assert post.circle(o).label == (1,)
@@ -162,25 +168,25 @@ class TestWhitney:
         tw = [(pkey("s0", "s1"), 0), (pkey("s0", "s2"), 0), (pkey("s1", "s2"), 1)]
         st = state_of(cs, tw=tw)
         with pytest.raises(MoveError):
-            moves.whitney_pair_typeII(G, CTX, st, "s0", "s1")
+            MOVES["whitney_pair_typeII"](G, CTX, st, a="s0", b="s1")
         # s1, s2 agree about s0 -- wait, they do not; s0, s2 agree about s1?
         # tw(s0,s1)=0 vs tw(s2,s1)=1: no pair here is compatible
         with pytest.raises(MoveError):
-            moves.whitney_pair_typeII(G, CTX, st, "s0", "s2")
+            MOVES["whitney_pair_typeII"](G, CTX, st, a="s0", b="s2")
 
 
 class TestSurgery:
     def test_needs_dual_sphere(self):
         st = state_of(pair("a"))
         with pytest.raises(MoveError):
-            moves.ambient_surgery(Z, CTX, st, "a")
+            MOVES["ambient_surgery"](Z, CTX, st, a="a")
 
     def test_framed_no_side_effect(self):
         ctx = Context(dual_sphere="framed")
         st = state_of(pair("a") + pair("x") + pair("y"),
                       lk={("a", "x"), ("a", "y")},
                       clasps=[("a", "x"), ("a", "y")])
-        post, info = moves._ambient_surgery(Z, ctx, st, "a")
+        post, info = MOVES["ambient_surgery"](Z, ctx, st, a="a")
         assert info["removed"] == ("a", "ap")
         assert post.linking("x", "y") == 0
 
@@ -188,7 +194,7 @@ class TestSurgery:
         st = state_of(pair("a") + pair("x") + pair("y"),
                       lk={("a", "x"), ("a", "y")},
                       clasps=[("a", "x"), ("a", "y")])
-        post = moves.ambient_surgery(Z, SCHAR, st, "a")
+        post, _ = MOVES["ambient_surgery"](Z, SCHAR, st, a="a")
         assert post.linking("x", "y") == 1
         assert post.clasp_count("x", "y") == 1
 
@@ -196,14 +202,14 @@ class TestSurgery:
         st = state_of(pair("a") + pair("x"),
                       lk={("a", "x")}, clasps=[("a", "x")])
         with pytest.raises(MoveError):
-            moves.ambient_surgery(Z, SCHAR, st, "a")
+            MOVES["ambient_surgery"](Z, SCHAR, st, a="a")
 
     def test_rejects_unsplit_dual(self):
         ctx = Context(dual_sphere="framed")
         st = state_of(pair("a") + pair("x"),
                       lk={("ap", "x")}, clasps=[("ap", "x")])
         with pytest.raises(MoveError):
-            moves.ambient_surgery(Z, ctx, st, "a")
+            MOVES["ambient_surgery"](Z, ctx, st, a="a")
 
 
 class TestComposites:
@@ -211,7 +217,7 @@ class TestComposites:
         ctx = Context(dual_sphere="framed")
         st = state_of(pair("a", (1,)) + pair("e", (0,)),
                       lk={("a", "e")}, clasps=[("a", "e")])
-        post, info = moves._move_meridian(Z, ctx, st, "a", "e")
+        post, info = MOVES["move_meridian"](Z, ctx, st, a="a", e="e")
         assert len(info["steps"]) == 2
         assert post.linked_ids("a") == []
         assert len(post.linked_ids("ap")) == 1
@@ -222,7 +228,7 @@ class TestComposites:
         st = state_of(pair("u", (3,)) + pair("v", (5,)),
                       lk={("u", "up"), ("v", "vp")},
                       clasps=[("u", "up"), ("v", "vp")])
-        post, info = moves._merge_hopf_pairs(Z, CTX, st, "u", "v")
+        post, info = MOVES["merge_hopf_pairs"](Z, CTX, st, a="u", b="v")
         c, cp = info["outputs"]
         assert post.circle(c).label == (8,)
         assert post.linking(c, cp) == 1
@@ -232,7 +238,7 @@ class TestComposites:
                       lk={("u", "up"), ("v", "vp"), ("u", "x")},
                       clasps=[("u", "up"), ("v", "vp"), ("u", "x")])
         with pytest.raises(MoveError):
-            moves.merge_hopf_pairs(Z, CTX, st, "u", "v")
+            MOVES["merge_hopf_pairs"](Z, CTX, st, a="u", b="v")
 
     @pytest.mark.parametrize("gname,g", [
         ("Z", (2,)), ("Z", (-4,)), ("Z", (0,)),
@@ -240,7 +246,7 @@ class TestComposites:
     ])
     def test_add_hopf_pair_labels(self, gname, g):
         G = standard_groups()[gname]
-        post, info = moves._add_hopf_pair(G, CTX, LinkState(), g)
+        post, info = MOVES["add_hopf_pair"](G, CTX, LinkState(), g=g)
         act = post.circle(info["active"])
         assert G.element_key(act.label) == G.element_key(G.check(g))
         assert post.linking(act.id, act.partner) == 1
@@ -248,20 +254,20 @@ class TestComposites:
 
     def test_add_hopf_pair_rejects_essential_class(self):
         with pytest.raises(MoveError):
-            moves.add_hopf_pair(Z, CTX, LinkState(), (1,))
+            MOVES["add_hopf_pair"](Z, CTX, LinkState(), g=(1,))
 
     def test_remove_trivial_pairs(self):
         st = state_of(pair("u", (0,)) + pair("v", (0,)),
                       lk={("u", "up"), ("v", "vp")},
                       clasps=[("u", "up"), ("v", "vp")])
         ctx = Context(dual_sphere="framed")
-        post = moves.remove_trivial_hopf_pairs(Z, ctx, st, "u", "v")
+        post, _ = MOVES["remove_trivial_hopf_pairs"](Z, ctx, st, a="u", b="v")
         assert not post.circles
         st_bad = state_of(pair("u", (2,)) + pair("v", (0,)),
                           lk={("u", "up"), ("v", "vp")},
                           clasps=[("u", "up"), ("v", "vp")])
         with pytest.raises(MoveError):
-            moves.remove_trivial_hopf_pairs(Z, ctx, st_bad, "u", "v")
+            MOVES["remove_trivial_hopf_pairs"](Z, ctx, st_bad, a="u", b="v")
 
 
 class TestScripts:
@@ -289,6 +295,25 @@ class TestScripts:
                      "pre_hash": "0" * 64}]
         with pytest.raises(ScriptError):
             apply_script(Z, CTX, st, tampered)
+
+    @pytest.mark.parametrize("entry", [
+        {"move": "finger_move", "params": {"x": "a"}},
+        {"move": "finger_move", "params": ["a", "ap"]},
+        "finger_move",
+        {"move": "trivial_finger", "params": {"g": "abc"}},
+        {"move": "whitney_move",
+         "params": {"spec": {"a": "a", "b": "ap", "mode": "inverse", "x": 1}}},
+        {"move": "whitney_move",
+         "params": {"spec": {"a": "a", "b": "ap", "mode": "inverse",
+                             "sigma": [["x"]]}}},
+    ], ids=["param-name", "params-list", "string-entry", "element",
+            "spec-key", "sigma"])
+    def test_malformed_entry_names_its_step(self, entry):
+        st = state_of(pair("a", (1,)))
+        script = [{"move": "trivial_finger", "params": {"g": [0]}}, entry]
+        with pytest.raises(ScriptError) as err:
+            apply_script(Z, CTX, st, script)
+        assert err.value.index == 1
 
     def test_composite_records_expand_to_primitives(self):
         ctx = Context(dual_sphere="framed")

@@ -24,6 +24,10 @@ SCHAR = Context(s_characteristic=True, dual_sphere="unframed")
 FRAMED = Context(dual_sphere="framed")
 
 
+def cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
 def pair(cid, label=(0,)):
     return [Circle(cid, TYPE1, cid + "p", ACTIVE, label),
             Circle(cid + "p", TYPE1, cid, INACTIVE)]
@@ -194,12 +198,15 @@ class TestDecide:
         final, _ = apply_script(Z4, FRAMED, state, v.trace)
         assert state_hash(Z4, final) == state_hash(Z4, v.final_state)
 
-    @pytest.mark.parametrize("generators", [None, [1]])
-    def test_large_cyclic_table_default_generators(self, generators):
+    @pytest.mark.parametrize("order,generators", [
+        pytest.param(20, None, id="None"),
+        pytest.param(20, [1], id="generators1"),
+        pytest.param(255, None, id="order255"),
+    ])
+    def test_large_cyclic_table_default_generators(self, order, generators):
         # the default generating set of a table group stays within the
         # balanced-word generator limit
-        G = FiniteGroup([[(a + b) % 20 for b in range(20)] for a in range(20)],
-                        generators=generators)
+        G = FiniteGroup(cyclic_table(order), generators=generators)
         v = decide(G, SCHAR, cycle_state(G, (1, 3)))
         assert v.outcome == "Concordant"
         final, _ = apply_script(G, SCHAR, cycle_state(G, (1, 3)), v.trace)

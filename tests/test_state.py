@@ -1,9 +1,10 @@
 import pytest
 
 from singlink.groups import AbelianGroup
+from singlink.moves import MOVES
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
-    Circle, Context, LinkState, StateError, flip_activity, pkey,
+    Circle, Context, LinkState, StateError, pkey,
     state_from_json, state_hash, state_to_json, validate,
 )
 
@@ -76,11 +77,15 @@ def test_framed_schar_warns():
     assert rep.warnings
 
 
-def test_flip_activity_inverts_label():
-    st = flip_activity(Z, hopf((3,)), "h")
+@pytest.mark.parametrize("cid", ["h", "hp"])
+def test_flip_activity_inverts_label(cid):
+    # either member of the pair names it
+    st, _ = MOVES["flip_activity"](Z, CTX, hopf((3,)), a=cid)
     assert st.circle("hp").role == ACTIVE
     assert st.circle("hp").label == (-3,)
     assert st.read(Z, "h") == (3,)
+    back, _ = MOVES["flip_activity"](Z, CTX, st, a=cid)
+    assert state_hash(Z, back) == state_hash(Z, hopf((3,)))
 
 
 def test_read_inactive_side():
