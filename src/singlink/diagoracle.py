@@ -217,13 +217,10 @@ def _rule_twist(G, report, ks, ms):
                       dual_sphere=framing)
         for m in mm:
             circles = _pair("A", G=G)
-            lk, clasps = set(), []
             for i in range(1, m + 1):
                 circles += _pair(f"C{i}", G=G)
-                lk.add(tuple(sorted((f"C{i}", "A"))))
-                clasps.append(tuple(sorted((f"C{i}", "A"))))
-            st = LinkState(circles=tuple(circles), lk=frozenset(lk),
-                           clasps=tuple(clasps)).normalized()
+            clasps = tuple((f"C{i}", "A") for i in range(1, m + 1))
+            st = LinkState(circles=tuple(circles), clasps=clasps).normalized()
             post, _ = MOVES["ambient_surgery"](G, ctx, st, a="A")
             d = scene("meridians-with-twist", k=k, m=m)
             for i in range(1, m + 1):
@@ -259,15 +256,8 @@ def _rule_band_sum(G, report, rng=(-2, 3)):
             lkv, bit = lk_diagram(d, "S", "X")
             _check(report, ("integer", p, q), lkv, p + q)
             circles = _pair("A", G=G) + _pair("B", G=G) + _pair("X", G=G)
-            lk, clasps = set(), []
-            if p % 2:
-                lk.add(("A", "X"))
-                clasps.append(("A", "X"))
-            if q % 2:
-                lk.add(("B", "X"))
-                clasps.append(("B", "X"))
-            st = LinkState(circles=tuple(circles), lk=frozenset(lk),
-                           clasps=tuple(clasps)).normalized()
+            clasps = (("A", "X"),) * (p % 2) + (("B", "X"),) * (q % 2)
+            st = LinkState(circles=tuple(circles), clasps=clasps).normalized()
             spec = {"a": "A", "b": "B", "mode": "equal", "clean": True}
             post, info = MOVES["whitney_move"](G, ctx, st, spec=spec)
             c, _ = info["outputs"]
@@ -277,8 +267,7 @@ def _rule_band_sum(G, report, rng=(-2, 3)):
 def _rule_clasp_finger(G, report):
     d = scene("clasp-finger")
     circles = _pair("A", G=G) + _pair("B", G=G)
-    st = LinkState(circles=tuple(circles), lk=frozenset({("A", "B")}),
-                   clasps=(("A", "B"),)).normalized()
+    st = LinkState(circles=tuple(circles), clasps=(("A", "B"),)).normalized()
     post, info = MOVES["clasp_finger"](G, Context(), st, a="A", b="B")
     e, ep = info["spawned"]
     for case, got, pair in (

@@ -104,7 +104,7 @@ class FiniteGroup:
         return list(range(self.n))
 
     def element_key(self, g):
-        return int(g)
+        return self.check(g)
 
     def two_torsion(self):
         """Nontrivial involutions, in index order."""
@@ -114,14 +114,11 @@ class FiniteGroup:
     # -- H_1(X; Z/2) -------------------------------------------------------
     def _h1_setup(self):
         if not hasattr(self, "_h1"):
-            n, t = self.n, self.table
-            # subgroup generated by squares and commutators (normal: it
-            # contains all commutators, so conjugation-closed)
-            gens = set(int(t[g, g]) for g in range(n))
-            for a in range(n):
-                for b in range(n):
-                    gens.add(self.mul(self.mul(a, b), self.inv(self.mul(b, a))))
-            sub = self._span(gens)
+            n = self.n
+            # the squares generate the kernel of G -> H_1(G; Z/2): the
+            # subgroup is normal, and it holds every commutator, as
+            # a b a^-1 b^-1 = a^2 (a^-1 b)^2 b^-2
+            sub = self._span(set(self.table.diagonal().tolist()))
             # coset labels
             coset = {}
             rep = []

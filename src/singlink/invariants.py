@@ -36,6 +36,16 @@ def quotient_reduce(v, rows) -> QuotientClass:
     return QuotientClass(rep=tuple(int(x) for x in r), is_zero=not np.any(r))
 
 
+def _declared(ctx: Context, name: str, dim: int):
+    """The spanning rows of the declared subspace ``name`` of ``ctx``; each
+    row must have ``dim`` bits."""
+    rows = getattr(ctx, name)
+    for v in rows:
+        if len(v) != dim:
+            raise InvariantError(f"{name}: a row has {len(v)} bits, not {dim}")
+    return rows
+
+
 def mu(G, state: LinkState) -> np.ndarray:
     """Mod-2 count of type II circles per nontrivial 2-torsion label."""
     basis = G.two_torsion()
@@ -55,7 +65,8 @@ def mu(G, state: LinkState) -> np.ndarray:
 def fq(G, ctx: Context, state: LinkState) -> QuotientClass:
     if not ctx.based and ctx.dual_sphere is None:
         raise InvariantError("fq needs a based concordance or a dual sphere")
-    return quotient_reduce(mu(G, state), ctx.mu_pi3)
+    m = mu(G, state)
+    return quotient_reduce(m, _declared(ctx, "mu_pi3", len(m)))
 
 
 def delta(G, ctx: Context, state: LinkState) -> np.ndarray:
@@ -73,7 +84,8 @@ def delta(G, ctx: Context, state: LinkState) -> np.ndarray:
 
 
 def km(G, ctx: Context, state: LinkState) -> QuotientClass:
-    return quotient_reduce(delta(G, ctx, state), ctx.delta_self)
+    d = delta(G, ctx, state)
+    return quotient_reduce(d, _declared(ctx, "delta_self", len(d)))
 
 
 def km_rel_alpha(G, ctx: Context, state: LinkState):
@@ -135,6 +147,6 @@ def concordance_bound(G, ctx: Context):
     t = len(G.two_torsion())
     if not ctx.s_characteristic:
         return 2 ** t
-    if F2Subspace(list(ctx.mu_pi3), t).rank == 0:
+    if F2Subspace(list(_declared(ctx, "mu_pi3", t)), t).rank == 0:
         return (2 ** t) * (2 ** G.h1_dim())
     return "not applicable"

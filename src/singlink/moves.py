@@ -47,17 +47,9 @@ class _B:
 
     def __init__(self, state: LinkState):
         self.circles = {c.id: c for c in state.circles}
-        self.lk = set(state.lk)
         self.clasps = list(state.clasps)
         self.tw = dict(state.tw)
         self.tag = state.homology_tag
-
-    def flip_lk(self, a, b):
-        k = pkey(a, b)
-        if k in self.lk:
-            self.lk.discard(k)
-        else:
-            self.lk.add(k)
 
     def toggle_clasp(self, a, b):
         k = pkey(a, b)
@@ -67,7 +59,6 @@ class _B:
             self.clasps.append(k)
 
     def link_with_clasp(self, a, b):
-        self.flip_lk(a, b)
         self.clasps.append(pkey(a, b))
 
     def add_pair(self, act_id, inact_id, label):
@@ -76,14 +67,12 @@ class _B:
 
     def remove_circle(self, cid):
         del self.circles[cid]
-        self.lk = {k for k in self.lk if cid not in k}
         self.clasps = [k for k in self.clasps if cid not in k]
         self.tw = {k: v for k, v in self.tw.items() if cid not in k}
 
     def state(self) -> LinkState:
         return LinkState(
             circles=tuple(self.circles.values()),
-            lk=frozenset(self.lk),
             clasps=tuple(self.clasps),
             tw=tuple(self.tw.items()),
             homology_tag=self.tag,
@@ -91,7 +80,7 @@ class _B:
 
 
 def _fully_split(state: LinkState, cid: str) -> bool:
-    return not state.linked_ids(cid) and all(cid not in k for k in state.clasps)
+    return all(cid not in k for k in state.clasps)
 
 
 def _type2_guard(G, state: LinkState, a: str, b: str):
@@ -121,9 +110,7 @@ def _cross(G, ctx, state, a, b, remove_clasp):
             raise MoveError(f"no clasp between {a!r} and {b!r}")
         bld.clasps.remove(pkey(a, b))
     else:
-        bld.clasps.append(pkey(a, b))
-    if a != b:
-        bld.flip_lk(a, b)
+        bld.link_with_clasp(a, b)
     e = G.mul(state.read(G, a), G.inv(state.read(G, b)))
     E, Ep = state.fresh_ids(2, "e")
     bld.add_pair(E, Ep, e)
@@ -248,10 +235,8 @@ def _row_sum_excluding(state, cid, excluded):
 
 def _whitney_split(G, ctx, state, spec, act, inact):
     g = act.label
-    if state.linking(act.id, inact.id):
-        raise MoveError("split configuration needs a mutually unlinked pair")
     if state.clasp_count(act.id, inact.id):
-        raise MoveError("split configuration needs a clasp-free pair")
+        raise MoveError("split configuration needs a pair with no mutual clasp")
     t_act = set(state.linked_ids(act.id))
     t_in = set(state.linked_ids(inact.id))
     if t_act & t_in:
@@ -399,7 +384,6 @@ def _ambient_surgery(G, ctx, state, a):
         if len(linkers) % 2:
             raise MoveError("twisted surgery needs an even number of linkers")
         for x, y in combinations(sorted(linkers), 2):
-            bld.flip_lk(x, y)
             bld.toggle_clasp(x, y)
     bld.remove_circle(a)
     bld.remove_circle(dual.id)
@@ -414,11 +398,11 @@ def _split_hopf_pair(G, state, cid):
         raise MoveError(f"{cid!r} is not a type I circle")
     act = c if c.role == ACTIVE else state.circle(c.partner)
     inact = state.circle(act.partner)
-    if state.linked_ids(act.id) != [inact.id] or state.linked_ids(inact.id) != [act.id]:
-        raise MoveError(f"pair of {cid!r} is not a split Hopf pair")
+    # linked to each other, with every clasp at either circle a mutual one
     mutual = pkey(act.id, inact.id)
-    if any(x in k for x in (act.id, inact.id) for k in state.clasps if k != mutual):
-        raise MoveError(f"pair of {cid!r} carries external clasps")
+    if (not state.linking(act.id, inact.id)
+            or any(x in k for x in mutual for k in state.clasps if k != mutual)):
+        raise MoveError(f"pair of {cid!r} is not a split Hopf pair")
     return act, inact
 
 
@@ -474,10 +458,8 @@ def _move_meridian(G, ctx, state, a, e):
     ce = state.circle(e)
     if ca.kind != TYPE1 or ce.kind != TYPE1:
         raise MoveError("both circles must be type I")
-    if state.linked_ids(e) != [a] or state.linking(e, a) != 1:
+    if state.linked_ids(e) != [a]:
         raise MoveError(f"{e!r} is not a meridian of {a!r}")
-    if state.clasp_count(e, a) == 0:
-        raise MoveError("meridian linking carries no clasp")
     r = _Runner(G, ctx, state)
     r.do("clasp_finger", a=a, b=e)
     r.do("ambient_surgery", a=ce.partner)

@@ -39,7 +39,7 @@ def scenario_from_json(obj: dict) -> Scenario:
         state = state_from_json(G, obj["state"])
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise ScenarioError(f"malformed scenario: {err}") from err
     script = obj.get("script", [])
     if not isinstance(script, list):

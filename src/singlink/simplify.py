@@ -51,7 +51,7 @@ def eliminate_type_II(G, ctx, state):
     if np.any(mu(G, state)):
         raise SimplifyError("mu is nonzero: the type II circles cannot all cancel")
     for c in state.type2_circles():
-        if state.linked_ids(c.id) or any(c.id in k for k in state.clasps):
+        if any(c.id in k for k in state.clasps):
             raise SimplifyError(
                 f"type II circle {c.id!r} is linked; only split type II "
                 "circles can be cancelled")

@@ -6,15 +6,19 @@ A state is a finite set of labeled circles with mod-2 linking data:
   label is stored on the active circle and reads as its inverse from the
   inactive side,
 * type II circles are self-dual and carry an involution label,
-* ``lk`` is the symmetric mod-2 linking relation, ``clasps`` a multiset of
-  unordered circle pairs realizing it, and ``tw`` a mod-2 twist bit for
-  pairs of equal-labeled type II circles.
+* ``clasps`` is a multiset of unordered circle pairs, and ``tw`` a mod-2
+  twist bit for pairs of equal-labeled type II circles.
+
+A clasp realizes a linking, so the symmetric mod-2 linking relation ``lk``
+is not stored: two distinct circles link exactly when an odd number of
+clasps join them, and ``lk`` is read off ``clasps``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,7 +62,6 @@ def pkey(a: str, b: str) -> tuple:
 @dataclass(frozen=True)
 class LinkState:
     circles: tuple = ()
-    lk: frozenset = frozenset()      # sorted pairs with linking 1
     clasps: tuple = ()               # sorted multiset of sorted pairs
     tw: tuple = ()                   # ((a, b), bit) for equal-labeled type2 pairs
     homology_tag: str | None = None
@@ -72,12 +75,22 @@ class LinkState:
         return {c.id: c for c in reversed(self.circles)}
 
     @cached_property
+    def _clasp_counts(self):
+        return Counter(self.clasps)
+
+    @cached_property
+    def lk(self):
+        """Sorted pairs of distinct circles with linking 1: those joined by
+        an odd number of clasps."""
+        return frozenset(k for k, n in self._clasp_counts.items()
+                         if n % 2 and k[0] != k[1])
+
+    @cached_property
     def _adjacent(self):
         adj = {}
         for a, b in self.lk:
             adj.setdefault(a, []).append(b)
-            if b != a:
-                adj.setdefault(b, []).append(a)
+            adj.setdefault(b, []).append(a)
         for ids in adj.values():
             ids.sort()
         return adj
@@ -90,8 +103,6 @@ class LinkState:
             raise StateError(f"no circle with id {cid!r}") from None
 
     def linking(self, a: str, b: str) -> int:
-        if a == b:
-            return 0
         return 1 if pkey(a, b) in self.lk else 0
 
     def lk_total(self, cid: str) -> int:
@@ -129,8 +140,7 @@ class LinkState:
         return sorted((c for c in self.circles if c.kind == TYPE2), key=lambda c: c.id)
 
     def clasp_count(self, a: str, b: str) -> int:
-        k = pkey(a, b)
-        return sum(1 for p in self.clasps if p == k)
+        return self._clasp_counts[pkey(a, b)]
 
     def fresh_ids(self, count: int, prefix: str = "c"):
         used = set(self._by_id)
@@ -147,7 +157,6 @@ class LinkState:
     def normalized(self):
         return LinkState(
             circles=tuple(sorted(self.circles, key=lambda c: c.id)),
-            lk=frozenset(pkey(*p) for p in self.lk),
             clasps=tuple(sorted(pkey(*p) for p in self.clasps)),
             tw=tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in self.tw)),
             homology_tag=self.homology_tag,
@@ -172,6 +181,7 @@ def validate(G, ctx: Context, state: LinkState) -> ValidationReport:
         bad(("duplicate-ids", tuple(sorted(i for i in ids if ids.count(i) > 1))))
         return rep
     by_id = {c.id: c for c in state.circles}
+    keys = {}                    # type II circle id -> key of its valid label
 
     for c in state.circles:
         if c.kind == TYPE1:
@@ -194,6 +204,7 @@ def validate(G, ctx: Context, state: LinkState) -> ValidationReport:
                 bad(("type2-not-self-dual", c.id))
             try:
                 g = G.check(c.label)
+                keys[c.id] = G.element_key(g)
                 if G.mul(g, g) != G.identity:
                     bad(("type2-label-not-involution", c.id))
             except G_.GroupError:
@@ -201,23 +212,9 @@ def validate(G, ctx: Context, state: LinkState) -> ValidationReport:
         else:
             bad(("bad-kind", c.id))
 
-    for a, b in sorted(state.lk):
-        if a == b:
-            bad(("self-linking", a))
-        if a not in by_id or b not in by_id:
-            bad(("dangling-lk", (a, b)))
     for a, b in state.clasps:
         if a not in by_id or b not in by_id:
             bad(("dangling-clasp", (a, b)))
-    # mod-2 congruence between linking and the clasp multiset
-    seen = set()
-    for a, b in list(state.lk) + list(state.clasps):
-        k = pkey(a, b)
-        if k in seen or k[0] == k[1] or k[0] not in by_id or k[1] not in by_id:
-            continue
-        seen.add(k)
-        if state.linking(*k) != state.clasp_count(*k) % 2:
-            bad(("clasp-linking-mismatch", k))
 
     tw_keys = [p for p, _ in state.tw]
     if len(set(tw_keys)) != len(tw_keys):
@@ -226,21 +223,17 @@ def validate(G, ctx: Context, state: LinkState) -> ValidationReport:
         ca, cb = by_id.get(a), by_id.get(b)
         if ca is None or cb is None or ca.kind != TYPE2 or cb.kind != TYPE2 or a == b:
             bad(("bad-tw-domain", (a, b)))
-        elif G.element_key(ca.label) != G.element_key(cb.label):
+        elif a in keys and b in keys and keys[a] != keys[b]:
             bad(("tw-label-mismatch", (a, b)))
         if bit not in (0, 1):
             bad(("bad-tw-value", (a, b)))
     # tw must be total on equal-labeled type II pairs
-    t2 = [c for c in state.circles if c.kind == TYPE2 and c.label is not None]
+    t2 = list(keys.items())
     have = set(tw_keys)
-    for i, ca in enumerate(t2):
-        for cb in t2[i + 1:]:
-            try:
-                same = G.element_key(ca.label) == G.element_key(cb.label)
-            except G_.GroupError:
-                continue
-            if same and pkey(ca.id, cb.id) not in have:
-                bad(("missing-tw-entry", pkey(ca.id, cb.id)))
+    for i, (a, ka) in enumerate(t2):
+        for b, kb in t2[i + 1:]:
+            if ka == kb and pkey(a, b) not in have:
+                bad(("missing-tw-entry", pkey(a, b)))
 
     if ctx.s_characteristic and ctx.dual_sphere is not None and rep.ok:
         # dual-sphere parity: both members of a dual pair link the rest of
@@ -293,13 +286,17 @@ def state_from_json(G, obj: dict) -> LinkState:
             id=c["id"], kind=c["kind"], partner=c.get("partner", c["id"]),
             role=c.get("role"), label=label,
         ))
-    return LinkState(
+    state = LinkState(
         circles=tuple(circles),
-        lk=frozenset(tuple(p) for p in obj.get("lk", [])),
         clasps=tuple(tuple(p) for p in obj.get("clasps", [])),
         tw=tuple((tuple(p), int(bit)) for p, bit in obj.get("tw", [])),
         homology_tag=obj.get("homology_tag"),
     ).normalized()
+    lk = {pkey(*p) for p in obj.get("lk", [])}
+    if lk != state.lk:
+        raise StateError(
+            f"lk disagrees with the clasp parity at {sorted(lk ^ state.lk)}")
+    return state
 
 
 def context_to_json(ctx: Context) -> dict:

@@ -96,6 +96,48 @@ class TestAbelianGroup:
             AbelianGroup(1).check(g)
 
 
+def cyclic_table(n):
+    return (np.arange(n)[:, None] + np.arange(n)) % n
+
+
+def dihedral_table(m):
+    # index k is r^k, index m + k is s r^k, with r s = s r^-1
+    bx, a = np.divmod(np.arange(2 * m), m)
+    k = np.where(bx[None, :] == 0, a[:, None] + a[None, :],
+                 a[None, :] - a[:, None])
+    return (bx[:, None] ^ bx[None, :]) * m + k % m
+
+
+def squares_and_commutators(t):
+    """Reference kernel of G -> H_1(G; Z/2): the closure of every square
+    and every commutator a b a^-1 b^-1."""
+    t = np.asarray(t)
+    inv = np.argmin(t, axis=1)               # t[a, inv[a]] == 0
+    gens = np.union1d(t.diagonal(), t[t, inv[t.T]].ravel())
+    sub = np.array([0])
+    while True:
+        grown = np.union1d(sub, t[np.ix_(sub, gens)].ravel())
+        if len(grown) == len(sub):
+            return set(sub.tolist())
+        sub = grown
+
+
+@pytest.mark.parametrize("table", [
+    q8_table(), cyclic_table(20), cyclic_table(255), dihedral_table(6),
+    dihedral_table(45),
+], ids=["Q8", "C20", "C255", "D6", "D45"])
+def test_h1_is_the_quotient_by_squares_and_commutators(table):
+    G = FiniteGroup(table)
+    t = G.table
+    kernel = squares_and_commutators(t)
+    assert 2 ** G.h1_dim() * len(kernel) == G.n
+    E = np.array([G.eps(g) for g in range(G.n)]).reshape(G.n, G.h1_dim())
+    # eps is a homomorphism onto F2^d whose kernel is the reference
+    # subgroup, so it is an isomorphism from the quotient
+    assert np.array_equal(E[t], E[:, None, :] ^ E[None, :, :])
+    assert {g for g in range(G.n) if not E[g].any()} == kernel
+
+
 @pytest.mark.parametrize("name", sorted(standard_groups()))
 def test_json_round_trip(name):
     G = standard_groups()[name]

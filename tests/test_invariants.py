@@ -24,7 +24,6 @@ def pair(cid, label=(0,)):
 
 def hopf(label=(1,)):
     return LinkState(circles=tuple(pair("h", label)),
-                     lk=frozenset({("h", "hp")}),
                      clasps=(("h", "hp"),)).normalized()
 
 
@@ -105,7 +104,7 @@ class TestQuotients:
 
     def test_km_rel_alpha_carries_tag(self):
         st = hopf((1,))
-        st = LinkState(circles=st.circles, lk=st.lk, clasps=st.clasps,
+        st = LinkState(circles=st.circles, clasps=st.clasps,
                        tw=st.tw, homology_tag="alpha-3")
         d, tag = km_rel_alpha(Z, Context(), st)
         assert d.tolist() == [1] and tag == "alpha-3"

@@ -29,8 +29,11 @@ def pair(cid, label=(0,)):
 
 
 def state_of(circles, lk=(), clasps=(), tw=()):
-    return LinkState(circles=tuple(circles), lk=frozenset(lk),
-                     clasps=tuple(clasps), tw=tuple(tw)).normalized()
+    st = LinkState(circles=tuple(circles), clasps=tuple(clasps),
+                   tw=tuple(tw)).normalized()
+    # the linking the test expects is the one read off the clasps
+    assert st.lk == {pkey(*p) for p in lk}
+    return st
 
 
 class TestCrossingMoves:

@@ -119,6 +119,60 @@ class TestCli:
         assert payload["label"][0] % 2 == 1
 
 
+def _set(key, value):
+    def mutate(obj):
+        *path, last = key
+        for k in path:
+            obj = obj[k]
+        obj[last] = value
+    return mutate
+
+
+def _drop_label(obj):
+    del obj["state"]["circles"][0]["label"]
+
+
+MALFORMED = {
+    "scenario-not-object": ("b3s1-odd", lambda obj: [obj]),
+    "state-not-object": ("b3s1-odd", _set(["state"], ["h0", "h1"])),
+    "circle-not-object": ("b3s1-odd", _set(["state", "circles", 0], "h0")),
+    "context-not-object": ("b3s1-odd", _set(["context"], "unframed")),
+    "type2-unlabeled": ("q8-typeII", _drop_label),
+    "mu_pi3-length": ("b3s1-odd", _set(["context", "mu_pi3"], [[1]])),
+    "delta_self-length": ("b3s1-odd", _set(["context", "delta_self"], [[1, 0]])),
+    "lk-off-clasps": ("b3s1-odd", _set(["state", "lk"], [])),
+}
+
+
+@pytest.mark.parametrize("case,command,want", [
+    ("scenario-not-object", "validate", "ScenarioError"),
+    ("state-not-object", "decide", "ScenarioError"),
+    ("circle-not-object", "validate", "ScenarioError"),
+    ("context-not-object", "bound", "ScenarioError"),
+    ("type2-unlabeled", "validate", "bad-label"),
+    ("type2-unlabeled", "invariants", "GroupError"),
+    ("type2-unlabeled", "decide", "GroupError"),
+    ("mu_pi3-length", "invariants", "InvariantError"),
+    ("mu_pi3-length", "decide", "InvariantError"),
+    ("mu_pi3-length", "bound", "InvariantError"),
+    ("delta_self-length", "invariants", "InvariantError"),
+    ("delta_self-length", "decide", "InvariantError"),
+    ("lk-off-clasps", "validate", "ScenarioError"),
+])
+def test_malformed_scenario_exits_one(capsys, tmp_path, case, command, want):
+    name, mutate = MALFORMED[case]
+    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+    obj = mutate(obj) or obj
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code = cli.main(["--format", "machine", command, str(f)])
+    cap = capsys.readouterr()
+    # an error object on stderr, or the violations of `validate` on stdout
+    payload = json.loads((cap.err or cap.out).strip().splitlines()[-1])
+    assert code == 1
+    assert want in [payload.get("error")] + [v[0] for v in payload.get("violations", [])]
+
+
 def test_trace_json_round_trip():
     sc = load_scenario(path("b3s1-even"))
     v = decide(sc.G, sc.ctx, sc.state)

@@ -35,7 +35,6 @@ def pair(cid, label=(0,)):
 
 def hopf(label=(1,)):
     return LinkState(circles=tuple(pair("h", label)),
-                     lk=frozenset({("h", "hp")}),
                      clasps=(("h", "hp"),)).normalized()
 
 
@@ -53,13 +52,11 @@ def type2_state(G, labels, tw=None):
 def cycle_state(G, labels):
     """m Hopf pairs whose linking relation is one cycle a_i -> dual(a_{i+1})."""
     m = len(labels)
-    circles, lk = [], set()
+    circles = []
     for i, g in enumerate(labels):
         circles += pair(f"a{i}", G.check(g))
-    for i in range(m):
-        lk.add((f"a{i}", f"a{(i + 1) % m}p"))
-    return LinkState(circles=tuple(circles), lk=frozenset(lk),
-                     clasps=tuple(sorted(lk))).normalized()
+    clasps = tuple((f"a{i}", f"a{(i + 1) % m}p") for i in range(m))
+    return LinkState(circles=tuple(circles), clasps=clasps).normalized()
 
 
 class TestEliminateTypeII:
@@ -82,8 +79,7 @@ class TestEliminateTypeII:
 
     def test_rejects_linked_type2(self):
         cs = (Circle("s", TYPE2, "s", None, (0,)),) + tuple(pair("e"))
-        st = LinkState(circles=cs, lk=frozenset({("e", "s")}),
-                       clasps=(("e", "s"),)).normalized()
+        st = LinkState(circles=cs, clasps=(("e", "s"),)).normalized()
         with pytest.raises(SimplifyError):
             eliminate_type_II(Z, FRAMED, st)
 

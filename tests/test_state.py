@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from singlink.groups import AbelianGroup
 from singlink.moves import MOVES
+from singlink.randwalk import CONTEXTS, standard_groups, walk
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
     Circle, Context, LinkState, StateError, pkey,
@@ -19,7 +21,6 @@ def pair(cid, label=(0,)):
 
 def hopf(label=(1,)):
     return LinkState(circles=tuple(pair("h", label)),
-                     lk=frozenset({("h", "hp")}),
                      clasps=(("h", "hp"),)).normalized()
 
 
@@ -35,14 +36,30 @@ def test_broken_duality():
 
 
 def test_clasp_linking_congruence():
-    st = LinkState(circles=tuple(pair("a") + pair("b")),
-                   lk=frozenset({("a", "b")}), clasps=()).normalized()
-    rep = validate(Z, CTX, st)
-    assert any(v[0] == "clasp-linking-mismatch" for v in rep.violations)
+    # linking is read off the clasps, so a file can only disagree with it
+    obj = state_to_json(Z, LinkState(circles=tuple(pair("a") + pair("b"))))
+    obj["lk"] = [["a", "b"]]
+    with pytest.raises(StateError, match=r"\('a', 'b'\)"):
+        state_from_json(Z, obj)
     # two clasps and linking 0 is fine
     st2 = LinkState(circles=tuple(pair("a") + pair("b")),
                     clasps=(("a", "b"), ("a", "b"))).normalized()
+    assert st2.linking("a", "b") == 0
     assert validate(Z, CTX, st2).ok
+    assert state_from_json(Z, state_to_json(Z, st2)) == st2
+
+
+@pytest.mark.parametrize("lk,clasps", [
+    ([], [["a", "b"]]),
+    ([["a", "b"]], [["a", "b"], ["b", "a"]]),
+    ([["a", "a"]], [["a", "a"]]),
+    ([["a", "b"], ["b", "ap"]], [["a", "b"]]),
+], ids=["clasp-unlinked", "even-clasps-linked", "self-linking", "extra-pair"])
+def test_loader_rejects_lk_off_clasp_parity(lk, clasps):
+    obj = state_to_json(Z, LinkState(circles=tuple(pair("a") + pair("b"))))
+    obj["lk"], obj["clasps"] = lk, clasps
+    with pytest.raises(StateError, match="clasp parity"):
+        state_from_json(Z, obj)
 
 
 def test_type2_label_must_be_involution():
@@ -64,7 +81,7 @@ def test_missing_twist_entry():
 def test_dual_parity_checked_under_schar():
     ctx = Context(s_characteristic=True, dual_sphere="unframed")
     st = LinkState(circles=tuple(pair("a") + pair("b")),
-                   lk=frozenset({("a", "b")}), clasps=(("a", "b"),)).normalized()
+                   clasps=(("a", "b"),)).normalized()
     rep = validate(Z, ctx, st)
     assert any(v[0] == "dual-parity" for v in rep.violations)
     assert validate(Z, CTX, st).ok  # no dual sphere, no parity constraint
@@ -98,6 +115,23 @@ def test_json_round_trip_and_hash():
     st2 = state_from_json(Z, state_to_json(Z, st))
     assert st2 == st
     assert state_hash(Z, st2) == state_hash(Z, st)
+
+
+@pytest.mark.parametrize("gname", sorted(standard_groups()))
+def test_reachable_states_survive_the_loader(gname):
+    # every state along sampled random walks reloads to itself, so the
+    # loader's lk check rejects no state the moves can build
+    G = standard_groups()[gname]
+    seen = 0
+    for i, ctx in enumerate(CONTEXTS):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, i])
+            for _, _, _, post in walk(G, ctx, rng, steps=10):
+                back = state_from_json(G, state_to_json(G, post))
+                assert back == post
+                assert state_hash(G, back) == state_hash(G, post)
+                seen += 1
+    assert seen > 0
 
 
 def test_hash_frozen():
