@@ -467,6 +467,10 @@ def _move_meridian(G, ctx, state, a, e):
 
 
 def _shorten_cycle(G, ctx, state, actives):
+    """Merge the first two pairs of a cycle whose entries each link the
+    next entry's dual.  An entry may have either role, as labels are read
+    with ``state.read``; ``actives`` keeps its name so recorded scripts
+    still decode."""
     if not isinstance(actives, (list, tuple)) or len(actives) < 2:
         raise MoveError("a cycle to shorten lists at least two circles")
     m = len(actives)
@@ -474,8 +478,8 @@ def _shorten_cycle(G, ctx, state, actives):
         raise MoveError("cycle shortening needs an unframed dual sphere")
     circles = [state.circle(x) for x in actives]
     for c in circles:
-        if c.kind != TYPE1 or c.role != ACTIVE:
-            raise MoveError(f"{c.id!r} is not an active type I circle")
+        if c.kind != TYPE1:
+            raise MoveError(f"{c.id!r} is not a type I circle")
     if len({c.id for c in circles}) != m:
         raise MoveError("cycle entries repeat a pair")
     for i, c in enumerate(circles):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .invariants import QuotientClass, delta, fq, km, mu, normalize_dual
 from .moves import MoveError, Recorder
-from .state import ACTIVE, TYPE1, TYPE2, Context, LinkState, pkey
+from .state import TYPE1, TYPE2, Context, LinkState, pkey
 
 
 class SimplifyError(ValueError):
@@ -72,14 +72,6 @@ def eliminate_type_II(G, ctx, state):
 
 
 # -- reduction to a single hopf pair ---------------------------------------
-
-def _shorten(P, cyc):
-    """Flip the inactive entries of a presented cycle, then shorten it."""
-    for cid in cyc:
-        if P.state.circle(cid).role != ACTIVE:
-            P.do("flip_activity", a=cid)
-    P.do("shorten_cycle", actives=cyc)
-
 
 def _walk(state, start):
     """The cycle through ``start``: each entry links the next one's partner."""
@@ -147,21 +139,15 @@ def reduce_to_hopf(G, ctx, state):
 
     # 3: the linking relation is now a perfect matching; walk each cycle of
     # (link, duality) edges and shorten it until only length-1 cycles
-    # (split Hopf pairs) remain.  Each step presents the cycle forwards or
-    # reversed, whichever has fewer inactive entries to flip: after the
-    # first step only the merged pair needs one, so the trace stays linear
-    # in the cycle length
+    # (split Hopf pairs) remain.  Entries of either role shorten alike, so
+    # each step is one move and the trace stays linear in the cycle length
     while True:
-        cyc = None
         for act, inact in P.state.pairs():
             if P.state.linked_ids(act.id)[0] != inact.id:
-                cyc = _walk(P.state, act.id)
+                P.do("shorten_cycle", actives=_walk(P.state, act.id))
                 break
-        if cyc is None:
+        else:
             break
-        rev = _presented(P.state, cyc, 0, True)
-        _shorten(P, min(cyc, rev, key=lambda w: sum(
-            P.state.circle(x).role != ACTIVE for x in w)))
 
     # 4: merge the split Hopf pairs into one
     if not P.state.pairs():
@@ -182,25 +168,13 @@ def reduce_to_hopf(G, ctx, state):
 #
 # one shortening step merges the first two pairs of the presented cycle and
 # the merged circle reads the inverse of their product; which product shows
-# up is steered by choosing among the valid presentations (rotations and
-# the orientation reversal, which reads inverse labels) before each step
-
-def _presented(state, ids, rot, rev):
-    if rev:
-        ids = ([state.circle(ids[0]).partner]
-               + [state.circle(x).partner for x in reversed(ids[1:])])
-    return ids[rot:] + ids[:rot]
-
+# up is steered by choosing the rotation of the cycle before each step.
+# Walking the cycle the other way round (through the partners, reading
+# inverse labels) reaches nothing more: the reachable sets are closed under
+# inversion
 
 def _reach_fn(G):
     memo = {}
-
-    def presentations(cyc):
-        out = []
-        rev = (G.inv(cyc[0]),) + tuple(G.inv(h) for h in reversed(cyc[1:]))
-        for c in (cyc, rev):
-            out += [c[r:] + c[:r] for r in range(len(c))]
-        return out
 
     def go(cyc):
         key = tuple(G.element_key(h) for h in cyc)
@@ -211,7 +185,8 @@ def _reach_fn(G):
                              G.element_key(G.inv(cyc[0]))})
         else:
             out = set()
-            for p in presentations(cyc):
+            for r in range(len(cyc)):
+                p = cyc[r:] + cyc[:r]
                 out |= go((G.inv(G.mul(p[0], p[1])),) + p[2:])
             out = frozenset(out)
         memo[key] = out
@@ -222,7 +197,14 @@ def _reach_fn(G):
 
 def reduce_cycle_to_label(G, ctx, state, target):
     """Shorten the state's single cycle of Hopf links all the way down,
-    presenting each step so the final pair carries exactly ``target``."""
+    presenting each step so the final pair carries exactly ``target``;
+    a state that is not one such cycle raises SimplifyError."""
+    cs = state.circles
+    if (not cs or any(c.kind != TYPE1 or len(state.linked_ids(c.id)) != 1
+                      for c in cs)
+            or 2 * len(_walk(state, min(c.id for c in cs))) != len(cs)):
+        raise SimplifyError("the state is not one cycle of type I pairs, "
+                            "each circle linking exactly one other")
     target = G.check(target)
     tk = G.element_key(target)
     reach = _reach_fn(G)
@@ -231,20 +213,14 @@ def reduce_cycle_to_label(G, ctx, state, target):
         ids = _walk(P.state, min(c.id for c in P.state.circles))
         if len(ids) == 1:
             break
-        chosen = None
-        for rev in (False, True):
-            for rot in range(len(ids)):
-                pres = _presented(P.state, ids, rot, rev)
-                t = tuple(P.state.read(G, x) for x in pres)
-                nxt = (G.inv(G.mul(t[0], t[1])),) + t[2:]
-                if tk in reach(nxt):
-                    chosen = pres
-                    break
-            if chosen:
+        for rot in range(len(ids)):
+            pres = ids[rot:] + ids[:rot]
+            t = tuple(P.state.read(G, x) for x in pres)
+            if tk in reach((G.inv(G.mul(t[0], t[1])),) + t[2:]):
                 break
-        if chosen is None:
+        else:
             raise SimplifyError("target label is not realizable from this cycle")
-        _shorten(P, chosen)
+        P.do("shorten_cycle", actives=pres)
     act = P.state.pairs()[0][0]
     if G.element_key(act.label) != tk:
         if G.element_key(G.inv(act.label)) != tk:

@@ -310,13 +310,34 @@ def context_to_json(ctx: Context) -> dict:
     }
 
 
+def _context_flag(obj, key, default):
+    v = obj.get(key, default)
+    if not isinstance(v, bool):
+        raise StateError(f"context {key!r} must be true or false, got {v!r}")
+    return v
+
+
+def _context_rows(obj, key):
+    rows = obj.get(key, [])
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(type(x) is int and x in (0, 1) for x in r)
+            for r in rows):
+        raise StateError(
+            f"context {key!r} must be a list of rows of 0/1 integers, got {rows!r}")
+    return tuple(map(tuple, rows))
+
+
 def context_from_json(obj: dict) -> Context:
+    dual = obj.get("dual_sphere")
+    if dual not in (None, "framed", "unframed"):
+        raise StateError(
+            f"context 'dual_sphere' must be null, framed or unframed, got {dual!r}")
     return Context(
-        s_characteristic=bool(obj.get("s_characteristic", False)),
-        dual_sphere=obj.get("dual_sphere"),
-        based=bool(obj.get("based", True)),
-        mu_pi3=tuple(tuple(int(x) for x in v) for v in obj.get("mu_pi3", [])),
-        delta_self=tuple(tuple(int(x) for x in v) for v in obj.get("delta_self", [])),
+        s_characteristic=_context_flag(obj, "s_characteristic", False),
+        dual_sphere=dual,
+        based=_context_flag(obj, "based", True),
+        mu_pi3=_context_rows(obj, "mu_pi3"),
+        delta_self=_context_rows(obj, "delta_self"),
         boundary_note=obj.get("boundary_note", ""),
     )
 

@@ -141,6 +141,13 @@ MALFORMED = {
     "mu_pi3-length": ("b3s1-odd", _set(["context", "mu_pi3"], [[1]])),
     "delta_self-length": ("b3s1-odd", _set(["context", "delta_self"], [[1, 0]])),
     "lk-off-clasps": ("b3s1-odd", _set(["state", "lk"], [])),
+    "s_characteristic-string": (
+        "b3s1-odd", _set(["context", "s_characteristic"], "false")),
+    "based-string": ("b3s1-odd", _set(["context", "based"], "no")),
+    "mu_pi3-string-row": ("q8-typeII", _set(["context", "mu_pi3"], ["1"])),
+    "dual_sphere-capitalized": (
+        "b3s1-odd", _set(["context", "dual_sphere"], "Unframed")),
+    "dual_sphere-number": ("b3s1-odd", _set(["context", "dual_sphere"], 3)),
 }
 
 
@@ -158,6 +165,11 @@ MALFORMED = {
     ("delta_self-length", "invariants", "InvariantError"),
     ("delta_self-length", "decide", "InvariantError"),
     ("lk-off-clasps", "validate", "ScenarioError"),
+    ("s_characteristic-string", "decide", "ScenarioError"),
+    ("based-string", "invariants", "ScenarioError"),
+    ("mu_pi3-string-row", "invariants", "ScenarioError"),
+    ("dual_sphere-capitalized", "decide", "ScenarioError"),
+    ("dual_sphere-number", "validate", "ScenarioError"),
 ])
 def test_malformed_scenario_exits_one(capsys, tmp_path, case, command, want):
     name, mutate = MALFORMED[case]

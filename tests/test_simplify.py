@@ -138,6 +138,20 @@ class TestExactCycleReduction:
         final, _ = apply_script(Q8, SCHAR, st, trace)
         assert state_hash(Q8, final) == state_hash(Q8, post)
 
+    @pytest.mark.parametrize("G,state", [
+        pytest.param(Z, LinkState(), id="empty"),
+        pytest.param(Z, LinkState(circles=tuple(pair("a"))), id="unlinked-pair"),
+        pytest.param(Z2, type2_state(Z2, [(0,)]), id="type2"),
+        pytest.param(Z, LinkState(
+            circles=tuple(pair("a0") + pair("a1") + pair("b0") + pair("b1")),
+            clasps=(("a0", "a1p"), ("a0p", "a1"), ("b0", "b1p"), ("b0p", "b1")),
+        ), id="two-2-cycles"),
+    ])
+    def test_rejects_input_that_is_not_one_cycle(self, G, state):
+        assert validate(G, SCHAR, state).ok
+        with pytest.raises(SimplifyError):
+            reduce_cycle_to_label(G, SCHAR, state, G.identity)
+
     def test_unreachable_target_raises(self):
         # a cycle of commuting labels can only reach the products of its
         # entries with signs; j is not one of them for the cycle (i, i)
@@ -214,6 +228,9 @@ class TestDecide:
         st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
         v = decide(Z, SCHAR, st)
         assert len(v.trace) <= 6 * n
+        # one shortening per merged pair, and no role bookkeeping
+        assert len(v.trace) <= 3 * n + 4
+        assert not any(r.move == "flip_activity" for r in v.trace)
         # the records carry both hashes, so replay checks each of them
         final, replayed = apply_script(Z, SCHAR, st, v.trace)
         assert len(replayed) == len(v.trace)

@@ -1,14 +1,20 @@
+import random
+
 import numpy as np
 import pytest
 
 from singlink.groups import AbelianGroup
-from singlink.moves import MOVES
-from singlink.randwalk import CONTEXTS, standard_groups, walk
+from singlink.invariants import delta, mu
+from singlink.moves import MOVES, MoveError
+from singlink.randwalk import CONTEXTS, _parity_ok, standard_groups, walk
+from singlink.simplify import _walk
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
     Circle, Context, LinkState, StateError, pkey,
     state_from_json, state_hash, state_to_json, validate,
 )
+
+from test_simplify import Q8, SCHAR, cycle_state
 
 Z = AbelianGroup(1)
 CTX = Context()
@@ -138,6 +144,49 @@ def test_hash_frozen():
     # determinism contract: canonical serialization of this state is stable
     assert state_hash(Z, hopf((1,))) == (
         "46b004cf7bd2c70c21583f71eab96c6903642d9cf5f00126b88b741e96df3edd")
+
+
+def test_shorten_cycle_hash_frozen():
+    # entries of either role are accepted, and an all-active cycle gives the
+    # post-state it always gave, so recorded traces keep their hashes
+    st = cycle_state(Z, [(1,), (2,), (3,)])
+    post, _ = MOVES["shorten_cycle"](Z, SCHAR, st, actives=["a0", "a1", "a2"])
+    assert state_hash(Z, post) == (
+        "60a78f113ad64c3f754f184403e7e4f586838fb205e78e37a1f2038815c3832f")
+
+
+@pytest.mark.parametrize("G,label", [
+    pytest.param(Z, lambda rng: (rng.randint(-3, 3),), id="Z"),
+    pytest.param(Q8, lambda rng: rng.randrange(8), id="Q8"),
+])
+def test_shorten_cycle_mixed_roles(G, label):
+    # which circle of a pair carries the label is a convention: flip any
+    # subset of the pairs, then shorten along the cycle from any circle
+    rng = random.Random(7)
+    for _ in range(150):
+        m = rng.randint(2, 6)
+        st = cycle_state(G, [label(rng) for _ in range(m)])
+        for i in range(m):
+            if rng.random() < 0.5:
+                st, _ = MOVES["flip_activity"](G, SCHAR, st, a=f"a{i}")
+        start = rng.choice(st.circles).id
+        post, _ = MOVES["shorten_cycle"](G, SCHAR, st, actives=_walk(st, start))
+        assert validate(G, SCHAR, post).ok and _parity_ok(post)
+        assert len(post.pairs()) == m - 1
+        assert mu(G, post).tolist() == mu(G, st).tolist()
+        assert delta(G, SCHAR, post).tolist() == delta(G, SCHAR, st).tolist()
+
+
+def test_shorten_cycle_keeps_its_checks():
+    st = cycle_state(Z, [(1,), (2,), (3,)])
+    st = LinkState(circles=st.circles + (Circle("s", TYPE2, "s", None, (0,)),),
+                   clasps=st.clasps).normalized()
+    for actives, why in ((["a0", "s"], "not a type I"),
+                         (["a0", "a1", "a1"], "repeat"),
+                         (["a0", "a2", "a1"], "does not link"),
+                         (["a0"], "at least two")):
+        with pytest.raises(MoveError, match=why):
+            MOVES["shorten_cycle"](Z, SCHAR, st, actives=actives)
 
 
 def test_missing_twist_lookup_raises():
