@@ -43,44 +43,55 @@ def _dual_id(c: Circle) -> str:
 
 
 class _B:
-    """Mutable scratch copy of a state, for building the post-state."""
+    """The edits a move makes to a state, for building the post-state:
+    removed circle ids, added circles, the new clasp counts of the touched
+    pairs and the twist entries."""
 
     def __init__(self, state: LinkState):
-        self.circles = {c.id: c for c in state.circles}
-        self.clasps = list(state.clasps)
-        self.tw = dict(state.tw)
-        self.tag = state.homology_tag
+        self.base = state.canonical()
+        self.removed = set()
+        self.added = {}
+        self.counts = {}
+        self.tw = dict(self.base.tw)
+
+    def _count(self, k):
+        return self.counts[k] if k in self.counts else self.base.clasp_count(*k)
 
     def toggle_clasp(self, a, b):
         k = pkey(a, b)
-        if k in self.clasps:
-            self.clasps.remove(k)
-        else:
-            self.clasps.append(k)
+        n = self._count(k)
+        self.counts[k] = n - 1 if n else 1
 
     def link_with_clasp(self, a, b):
-        self.clasps.append(pkey(a, b))
+        k = pkey(a, b)
+        self.counts[k] = self._count(k) + 1
+
+    def unclasp(self, a, b):
+        k = pkey(a, b)
+        self.counts[k] = self._count(k) - 1
+
+    def add_circle(self, c):
+        self.added[c.id] = c
 
     def add_pair(self, act_id, inact_id, label):
-        self.circles[act_id] = Circle(act_id, TYPE1, inact_id, ACTIVE, label)
-        self.circles[inact_id] = Circle(inact_id, TYPE1, act_id, INACTIVE)
+        self.add_circle(Circle(act_id, TYPE1, inact_id, ACTIVE, label))
+        self.add_circle(Circle(inact_id, TYPE1, act_id, INACTIVE))
 
     def remove_circle(self, cid):
-        del self.circles[cid]
-        self.clasps = [k for k in self.clasps if cid not in k]
+        if self.added.pop(cid, None) is None:
+            self.removed.add(cid)
+        for k in [*self.base.clasps_at(cid), *self.counts]:
+            if cid in k:
+                self.counts[k] = 0
         self.tw = {k: v for k, v in self.tw.items() if cid not in k}
 
     def state(self) -> LinkState:
-        return LinkState(
-            circles=tuple(self.circles.values()),
-            clasps=tuple(self.clasps),
-            tw=tuple(self.tw.items()),
-            homology_tag=self.tag,
-        ).normalized()
+        return self.base.edited(self.removed, self.added.values(),
+                                self.counts, self.tw.items())
 
 
 def _fully_split(state: LinkState, cid: str) -> bool:
-    return all(cid not in k for k in state.clasps)
+    return not state.clasps_at(cid)
 
 
 def _type2_guard(G, state: LinkState, a: str, b: str):
@@ -108,7 +119,7 @@ def _cross(G, ctx, state, a, b, remove_clasp):
     if remove_clasp:
         if state.clasp_count(a, b) == 0:
             raise MoveError(f"no clasp between {a!r} and {b!r}")
-        bld.clasps.remove(pkey(a, b))
+        bld.unclasp(a, b)
     else:
         bld.link_with_clasp(a, b)
     e = G.mul(state.read(G, a), G.inv(state.read(G, b)))
@@ -138,7 +149,7 @@ def _trivial_finger(G, ctx, state, g):
 def _introduce_type_II(G, ctx, state):
     bld = _B(state)
     cid = state.fresh_ids(1, "t")[0]
-    bld.circles[cid] = Circle(cid, TYPE2, cid, None, G.identity)
+    bld.add_circle(Circle(cid, TYPE2, cid, None, G.identity))
     for c in state.type2_circles():
         if c.label is not None and G.element_key(c.label) == G.element_key(G.identity):
             bld.tw[pkey(cid, c.id)] = 0
@@ -155,10 +166,9 @@ def _flip_activity(G, ctx, state, a):
     if act.kind != TYPE1 or act.role != ACTIVE:
         raise StateError(f"{act.id!r} is not an active type I circle")
     inact = state.circle(act.partner)
-    swap = {act.id: replace(act, role=INACTIVE, label=None),
-            inact.id: replace(inact, role=ACTIVE, label=G.inv(act.label))}
-    circles = tuple(swap.get(x.id, x) for x in state.circles)
-    return replace(state, circles=circles), {"active": inact.id}
+    swap = (replace(act, role=INACTIVE, label=None),
+            replace(inact, role=ACTIVE, label=G.inv(act.label)))
+    return state.edited(added=swap), {"active": inact.id}
 
 
 # -- whitney moves ---------------------------------------------------------
@@ -401,7 +411,7 @@ def _split_hopf_pair(G, state, cid):
     # linked to each other, with every clasp at either circle a mutual one
     mutual = pkey(act.id, inact.id)
     if (not state.linking(act.id, inact.id)
-            or any(x in k for x in mutual for k in state.clasps if k != mutual)):
+            or any(k != mutual for x in mutual for k in state.clasps_at(x))):
         raise MoveError(f"pair of {cid!r} is not a split Hopf pair")
     return act, inact
 

@@ -51,7 +51,7 @@ def eliminate_type_II(G, ctx, state):
     if np.any(mu(G, state)):
         raise SimplifyError("mu is nonzero: the type II circles cannot all cancel")
     for c in state.type2_circles():
-        if any(c.id in k for k in state.clasps):
+        if state.clasps_at(c.id):
             raise SimplifyError(
                 f"type II circle {c.id!r} is linked; only split type II "
                 "circles can be cancelled")
@@ -98,14 +98,11 @@ def reduce_to_hopf(G, ctx, state):
     P = Recorder(G, ctx, state)
     long_ids = {c.id for c in state.circles}
 
-    # 1: resolve every clasp between the entry circles; each resolution
-    # trades it for a meridian pair on the duals
-    while True:
-        cl = sorted(k for k in P.state.clasps
-                    if k[0] in long_ids and k[1] in long_ids)
-        if not cl:
-            break
-        a, b = cl[0]
+    # 1: resolve every clasp between the entry circles, in sorted order;
+    # each resolution trades it for a meridian pair on the duals, whose
+    # clasps join a fresh circle
+    for a, b in sorted(k for k in P.state.clasps
+                       if k[0] in long_ids and k[1] in long_ids):
         P.do("clasp_finger", a=a, b=b)
 
     # 2: per pair, balance meridian counts across the two sides, split down
@@ -245,7 +242,7 @@ def _eliminate_clasps_framed(P):
     """Remove every clasp using a framed dual: two finger moves park the
     intersections on a fresh meridian pair, two surgeries delete it."""
     while P.state.clasps:
-        a, b = sorted(P.state.clasps)[0]
+        a, b = min(P.state.clasps)
         info = P.do("clasp_finger", a=a, b=b)
         E, Ep = info["spawned"]
         dual_a = P.state.circle(a).partner if P.state.circle(a).kind == TYPE1 else a

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 
 from . import groups as G_
 
@@ -28,6 +31,11 @@ TYPE1 = "type1"
 TYPE2 = "type2"
 ACTIVE = "active"
 INACTIVE = "inactive"
+
+
+_ID = attrgetter("id")
+# encodes as json.dumps(obj, sort_keys=True, separators=(",", ":")) does
+_CANON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class StateError(ValueError):
@@ -41,6 +49,15 @@ class Circle:
     partner: str
     role: str | None = None          # type1 only
     label: object = None             # active type1 and type2 only
+
+    def json_text(self, G) -> str:
+        """The circle's canonical JSON text, cached together with the group
+        it was encoded under: the label's encoding depends on the group."""
+        got = self.__dict__.get("_text")
+        if got is None or got[0] is not G:
+            got = (G, _CANON.encode(_circle_to_json(G, self)))
+            object.__setattr__(self, "_text", got)
+        return got[1]
 
 
 @dataclass(frozen=True)
@@ -67,8 +84,8 @@ class LinkState:
     homology_tag: str | None = None
 
     # -- index -------------------------------------------------------------
-    # built on first use; the fields, and so the canonical JSON and the
-    # hash, stay the only state
+    # built on first use, or by `edited` from the parent's; the fields, and
+    # so the canonical JSON and the hash, stay the only state
     @cached_property
     def _by_id(self):
         # reversed: with duplicate ids (an invalid state) the first wins
@@ -94,6 +111,20 @@ class LinkState:
         for ids in adj.values():
             ids.sort()
         return adj
+
+    @cached_property
+    def _clasped(self):
+        """Circle id -> the set of clasp pairs at that circle."""
+        at = {}
+        for k in self._clasp_counts:
+            for x in set(k):
+                at.setdefault(x, set()).add(k)
+        return at
+
+    @cached_property
+    def _normal(self):
+        """Whether the fields are in the order ``normalized`` gives."""
+        return self.normalized() == self
 
     # -- access ------------------------------------------------------------
     def circle(self, cid: str) -> Circle:
@@ -142,14 +173,17 @@ class LinkState:
     def clasp_count(self, a: str, b: str) -> int:
         return self._clasp_counts[pkey(a, b)]
 
+    def clasps_at(self, cid: str):
+        """The distinct clasp pairs at circle ``cid``."""
+        return self._clasped.get(cid, ())
+
     def fresh_ids(self, count: int, prefix: str = "c"):
-        used = set(self._by_id)
+        # each candidate is tried once, so only the state's ids can clash
         out, n = [], 0
         while len(out) < count:
             cid = f"{prefix}{n}"
-            if cid not in used:
+            if cid not in self._by_id:
                 out.append(cid)
-                used.add(cid)
             n += 1
         return out
 
@@ -161,6 +195,77 @@ class LinkState:
             tw=tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in self.tw)),
             homology_tag=self.homology_tag,
         )
+
+    def canonical(self):
+        """The state with its fields in canonical order: itself when they
+        already are, as on every state a move builds."""
+        return self if self._normal else self.normalized()
+
+    def edited(self, removed=(), added=(), clasps=None, tw=None):
+        """The state in canonical order with the circles of ids ``removed``
+        taken out, the circles ``added`` put in (each replacing any circle
+        of its id), the clasp count of each pair in the dict ``clasps`` set
+        to its value, and, if ``tw`` is given, the twist entries ``tw``.
+
+        The new fields are merged into the sorted old ones, and the new
+        indexes are the old ones with the touched rows rebuilt, so the cost
+        follows the edits more than the size of the state.
+        """
+        old = self.canonical()
+        circles, by_id = list(old.circles), dict(old._by_id)
+        for cid in removed:
+            del by_id[cid]
+            del circles[bisect_left(circles, cid, key=_ID)]
+        for c in added:
+            if c.id in by_id:
+                del circles[bisect_left(circles, c.id, key=_ID)]
+            insort(circles, c, key=_ID)
+            by_id[c.id] = c
+        cl, counts, lk = old.clasps, old._clasp_counts, old.lk
+        adj, at = old._adjacent, old._clasped
+        if clasps:
+            cl, counts = list(cl), counts.copy()
+            flipped, links, toggled = set(), {}, {}
+            for k, n in clasps.items():
+                was = old._clasp_counts[k]
+                if n == was:
+                    continue
+                lo = bisect_left(cl, k)
+                cl[lo:lo + was] = [k] * n
+                if n:
+                    counts[k] = n
+                else:
+                    del counts[k]
+                if (was > 0) != (n > 0):
+                    for x in set(k):
+                        toggled.setdefault(x, set()).add(k)
+                if (n - was) % 2 and k[0] != k[1]:
+                    flipped.add(k)
+                    links.setdefault(k[0], set()).add(k[1])
+                    links.setdefault(k[1], set()).add(k[0])
+            cl = tuple(cl)
+            lk = lk ^ flipped
+            adj, at = dict(adj), dict(at)
+            for x, ys in links.items():
+                row = sorted(set(old._adjacent.get(x, ())) ^ ys)
+                if row:
+                    adj[x] = row
+                else:
+                    del adj[x]
+            for x, ks in toggled.items():
+                row = old._clasped.get(x, set()) ^ ks
+                if row:
+                    at[x] = row
+                else:
+                    del at[x]
+        if tw is not None:
+            tw = tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in tw))
+        new = LinkState(circles=tuple(circles), clasps=cl,
+                        tw=old.tw if tw is None else tw,
+                        homology_tag=old.homology_tag)
+        new.__dict__.update(_normal=True, _by_id=by_id, _clasp_counts=counts,
+                            lk=lk, _adjacent=adj, _clasped=at)
+        return new
 
 
 @dataclass
@@ -258,17 +363,18 @@ def validate(G, ctx: Context, state: LinkState) -> ValidationReport:
 
 # -- serialization ---------------------------------------------------------
 
+def _circle_to_json(G, c: Circle) -> dict:
+    obj = {"id": c.id, "kind": c.kind, "partner": c.partner}
+    if c.kind == TYPE1:
+        obj["role"] = c.role
+    if c.label is not None:
+        obj["label"] = G_.element_to_json(G, c.label)
+    return obj
+
+
 def state_to_json(G, state: LinkState) -> dict:
-    circles = []
-    for c in sorted(state.circles, key=lambda c: c.id):
-        obj = {"id": c.id, "kind": c.kind, "partner": c.partner}
-        if c.kind == TYPE1:
-            obj["role"] = c.role
-        if c.label is not None:
-            obj["label"] = G_.element_to_json(G, c.label)
-        circles.append(obj)
     return {
-        "circles": circles,
+        "circles": [_circle_to_json(G, c) for c in sorted(state.circles, key=_ID)],
         "lk": sorted([list(p) for p in state.lk]),
         "clasps": sorted([list(p) for p in state.clasps]),
         "tw": sorted([[list(p), int(bit) & 1] for p, bit in state.tw]),
@@ -286,12 +392,16 @@ def state_from_json(G, obj: dict) -> LinkState:
             id=c["id"], kind=c["kind"], partner=c.get("partner", c["id"]),
             role=c.get("role"), label=label,
         ))
-    state = LinkState(
-        circles=tuple(circles),
-        clasps=tuple(tuple(p) for p in obj.get("clasps", [])),
-        tw=tuple((tuple(p), int(bit)) for p, bit in obj.get("tw", [])),
-        homology_tag=obj.get("homology_tag"),
-    ).normalized()
+    clasps = tuple(tuple(p) for p in obj.get("clasps", []))
+    tw = tuple((tuple(p), int(bit)) for p, bit in obj.get("tw", []))
+    pairs = clasps + tuple(p for p, _ in tw)
+    if (any(len(p) != 2 for p in pairs)
+            or not all(type(c.id) is str and type(c.partner) is str for c in circles)
+            or not all(type(a) is str and type(b) is str for a, b in pairs)):
+        raise StateError("circle ids must be strings, and every clasp and "
+                         "twist entry must name a pair of them")
+    state = LinkState(circles=tuple(circles), clasps=clasps, tw=tw,
+                      homology_tag=obj.get("homology_tag")).normalized()
     lk = {pkey(*p) for p in obj.get("lk", [])}
     if lk != state.lk:
         raise StateError(
@@ -342,6 +452,21 @@ def context_from_json(obj: dict) -> Context:
     )
 
 
+def _pairs_json(pairs) -> str:
+    return ",".join([f"[{_json_str(a)},{_json_str(b)}]" for a, b in pairs])
+
+
 def state_hash(G, state: LinkState) -> str:
-    blob = json.dumps(state_to_json(G, state), sort_keys=True, separators=(",", ":"))
+    """sha256 of the canonical JSON of the state, the text of
+    ``json.dumps(state_to_json(G, state), sort_keys=True,
+    separators=(",", ":"))``, joined from the circles' cached texts."""
+    circles = ",".join([c.json_text(G) for c in sorted(state.circles, key=_ID)])
+    clasps = _pairs_json(sorted(state.clasps))
+    # lk holds at most one pair per clasp; holding as many as there are
+    # clasps, it is the set of clasps
+    lk = clasps if len(state.lk) == len(state.clasps) else _pairs_json(sorted(state.lk))
+    tw = ",".join([f"[[{_json_str(a)},{_json_str(b)}],{bit}]" for (a, b), bit in
+                   sorted((p, int(bit) & 1) for p, bit in state.tw)])
+    blob = (f'{{"circles":[{circles}],"clasps":[{clasps}],"homology_tag":'
+            f'{_CANON.encode(state.homology_tag)},"lk":[{lk}],"tw":[{tw}]}}')
     return hashlib.sha256(blob.encode()).hexdigest()

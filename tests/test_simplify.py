@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from singlink import groups
 from singlink.groups import AbelianGroup, FiniteGroup
 from singlink.invariants import delta, mu
 from singlink.moves import apply_script
@@ -235,3 +236,15 @@ class TestDecide:
         final, replayed = apply_script(Z, SCHAR, st, v.trace)
         assert len(replayed) == len(v.trace)
         assert state_hash(Z, final) == state_hash(Z, v.final_state)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_cycle_moves_encode_only_new_labels(self, n, monkeypatch):
+        # hashing reuses the text of every circle a move leaves alone, so
+        # the label encodes per recorded move do not grow with n
+        calls, real = [], groups.element_to_json
+        monkeypatch.setattr(groups, "element_to_json",
+                            lambda G, g: calls.append(g) or real(G, g))
+        rng = random.Random(f"ladder-1-{n}")
+        st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+        v = decide(Z, SCHAR, st)
+        assert len(calls) <= 4 * len(v.trace)

@@ -1,20 +1,22 @@
+import hashlib
+import json
 import random
 
 import numpy as np
 import pytest
 
-from singlink.groups import AbelianGroup
+from singlink.groups import AbelianGroup, FiniteGroup
 from singlink.invariants import delta, mu
-from singlink.moves import MOVES, MoveError
+from singlink.moves import MOVES, MoveError, apply_move, decode_params
 from singlink.randwalk import CONTEXTS, _parity_ok, standard_groups, walk
-from singlink.simplify import _walk
+from singlink.simplify import _walk, decide
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
     Circle, Context, LinkState, StateError, pkey,
     state_from_json, state_hash, state_to_json, validate,
 )
 
-from test_simplify import Q8, SCHAR, cycle_state
+from test_simplify import Q8, SCHAR, cycle_state, cyclic_table
 
 Z = AbelianGroup(1)
 CTX = Context()
@@ -193,3 +195,100 @@ def test_missing_twist_lookup_raises():
     st = hopf()
     with pytest.raises(StateError):
         st.twist("h", "hp")
+
+
+# -- hashing from cached pieces, post-states from deltas ---------------------
+
+def reference_hash(G, state):
+    blob = json.dumps(state_to_json(G, state), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+INDEXES = ("_clasp_counts", "lk", "_by_id", "_adjacent", "_clasped")
+
+
+def assert_indexes_rebuilt(st):
+    # a delta-built state is in canonical order and carries the indexes a
+    # state rebuilt from its fields computes
+    rebuilt = LinkState(circles=st.circles, clasps=st.clasps, tw=st.tw,
+                        homology_tag=st.homology_tag)
+    assert st == rebuilt.normalized()
+    for name in INDEXES:
+        assert getattr(st, name) == getattr(rebuilt, name), name
+
+
+@pytest.mark.parametrize("gname", sorted(standard_groups()))
+def test_hash_and_indexes_along_walks(gname):
+    G = standard_groups()[gname]
+    seen = 0
+    for i, ctx in enumerate(CONTEXTS):
+        for seed in range(6):
+            rng = np.random.default_rng([seed, i, 7])
+            for pre, _, _, post in walk(G, ctx, rng, steps=12):
+                assert state_hash(G, post) == reference_hash(G, post)
+                assert state_hash(G, pre) == reference_hash(G, pre)
+                assert_indexes_rebuilt(post)
+                seen += 1
+    assert seen > 0
+
+
+def test_indexes_along_a_decide_trace():
+    # replaying a decide trace move by move covers the composite moves
+    rng = random.Random(5)
+    st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(12)])
+    for rec in decide(Z, SCHAR, st).trace:
+        params = decode_params(Z, rec.move, rec.params)
+        st, got = apply_move(Z, SCHAR, st, rec.move, params)
+        assert got.post_hash == rec.post_hash == reference_hash(Z, st)
+        assert_indexes_rebuilt(st)
+
+
+def test_hash_escapes_ids_and_tag():
+    ids = ['q"1', "b\\s", "été", "☃"]
+    circles = [c for cid in ids for c in pair(cid, (3,))]
+    clasps = [(ids[0], ids[1] + "p"), (ids[1], ids[2] + "p"),
+              (ids[2], ids[3] + "p"), (ids[3], ids[0] + "p"),
+              (ids[3], ids[0] + "p"), (ids[0], ids[0] + "p")]
+    t2 = [Circle(f"s{x}", TYPE2, f"s{x}", None, (0,)) for x in ids]
+    tw = [(pkey(a.id, b.id), 1) for i, a in enumerate(t2) for b in t2[i + 1:]]
+    for tag in (None, 'tag "é☃\\'):
+        st = LinkState(circles=tuple(circles + t2), clasps=tuple(clasps),
+                       tw=tuple(tw), homology_tag=tag).normalized()
+        assert validate(Z, CTX, st).ok
+        assert state_hash(Z, st) == reference_hash(Z, st)
+        # unnormalized fields hash as the reference serializes them
+        raw = LinkState(circles=tuple(reversed(st.circles)),
+                        clasps=tuple((b, a) for a, b in st.clasps),
+                        tw=tuple(reversed(st.tw)), homology_tag=tag)
+        assert state_hash(Z, raw) == reference_hash(Z, raw)
+
+
+def test_circle_text_follows_the_group():
+    # a circle caches its text with the group it was encoded under, so the
+    # same circle hashed under another group is encoded again
+    c = Circle("x", TYPE2, "x", None, (4,))
+    st = LinkState(circles=(c,))
+    Z3, Z5 = AbelianGroup(0, (3,)), AbelianGroup(0, (5,))
+    C5 = FiniteGroup(cyclic_table(5))
+    fin = LinkState(circles=(Circle("x", TYPE2, "x", None, 4),))
+    hashes = []
+    for G, s in ((Z3, st), (Z5, st), (C5, fin), (Z3, st)):
+        assert state_hash(G, s) == reference_hash(G, s)
+        hashes.append(state_hash(G, s))
+    assert len(set(hashes)) == 3
+
+
+def test_fresh_ids_skip_used_ids():
+    st = LinkState(circles=tuple(pair("c0") + pair("c2")))
+    assert st.fresh_ids(3) == ["c1", "c3", "c4"]
+    assert st.fresh_ids(2, "c2") == ["c20", "c21"]
+
+
+@pytest.mark.parametrize("bad", [
+    {"circles": [{"id": 1, "kind": "type2", "partner": 1, "label": [0]}]},
+    {"circles": [], "clasps": [["a", "b", "c"]]},
+    {"circles": [], "tw": [[["a", 2], 0]]},
+])
+def test_loader_needs_string_ids_and_pairs(bad):
+    with pytest.raises(StateError, match="must be strings"):
+        state_from_json(Z, bad)
