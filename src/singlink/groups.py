@@ -3,7 +3,8 @@
 Two representations are supported:
 
 * ``FiniteGroup`` -- an explicit multiplication table on indices ``0..n-1``
-  with identity ``0``, exhaustively validated on construction.
+  with identity ``0``, validated on construction in O(n^2 |generators|):
+  associativity by Light's test on the generators alone.
 * ``AbelianGroup`` -- a finitely generated abelian group
   ``Z^rank + Z/n_1 + ... + Z/n_k`` with elements as integer vectors.
 
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 import operator
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
 MAX_TABLE_ORDER = 255
 MAX_GENERATORS = 16
-_ASSOC_ROWS = 16                 # rows per block of the associativity check
 
 
 class GroupError(ValueError):
@@ -30,59 +31,47 @@ class GroupError(ValueError):
 
 class FiniteGroup:
     def __init__(self, table, generators=None):
-        t = np.asarray(table, dtype=np.int64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise GroupError("multiplication table must be square")
+        t = _table_array(table)
         n = t.shape[0]
-        if n == 0 or n > MAX_TABLE_ORDER:
-            raise GroupError(f"table order must be in 1..{MAX_TABLE_ORDER}")
-        if t.min() < 0 or t.max() >= n:
-            raise GroupError("table entries out of range")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise GroupError("index 0 must be the identity")
-        # associativity: (ab)c == a(bc) for all triples, vectorized over
-        # blocks of rows a so memory stays O(n^2)
-        for lo in range(0, n, _ASSOC_ROWS):
-            blk = t[lo:lo + _ASSOC_ROWS]
-            # t[blk][a,b,c] = t[t[a,b], c];  blk[:, t][a,b,c] = t[a, t[b,c]]
-            if not np.array_equal(t[blk], blk[:, t]):
-                raise GroupError("table is not associative")
-        inv = np.full(n, -1, dtype=np.int64)
-        rows, cols = np.where(t == 0)
-        inv[rows] = cols
-        if np.any(inv < 0) or np.any(t[np.arange(n), inv] != 0):
+        inv = np.argmax(t == 0, axis=1)
+        if np.any(t[np.arange(n), inv] != 0):
             raise GroupError("table has no two-sided inverses")
         self.table = t
         self.n = n
+        self._rows = t.tolist()
         self._inv = inv
         if generators is None:
-            # greedy: each element outside the span so far at least doubles
-            # it, so at most log2(n) generators
-            generators, span = [], {0}
-            for g in range(1, n):
-                if g not in span:
-                    generators.append(g)
-                    span = self._span(generators)
-            generators = generators or [0]
+            generators = self._span(range(1, n))[0] or [0]
         self.generators = [self.check(g) for g in generators]
         if not self.generators:
             raise GroupError("generator list must be nonempty")
-        if len(self._span(self.generators)) != n:
+        if len(self._span(self.generators)[1]) != n:
             raise GroupError("generators do not generate the group")
+        # Light's test.  The a with (xa)y = x(ay) for all x, y form a set A
+        # closed under products: for a, b in A, (x(ab))y = ((xa)b)y =
+        # (xa)(by) = x(a(by)) = x((ab)y).  A holds 0, and the span above is
+        # {0} closed under right multiplication by the generators, so A is
+        # everything once it holds them.  t[t[:, s]][x, y] = (xs)y.
+        for s in set(self.generators):
+            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+                raise GroupError("table is not associative")
 
-    def _span(self, gens):
-        """Elements of the subgroup generated by ``gens``: in a finite group
-        closing under right multiplication by them is enough."""
-        sub = {0}
-        frontier = deque(sub)
-        while frontier:
-            x = frontier.popleft()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in sub:
-                    sub.add(y)
-                    frontier.append(y)
-        return sub
+    def _span(self, candidates):
+        """Greedy generators among ``candidates`` and the subgroup they span,
+        {0} closed under right multiplication by them (enough in a finite
+        group).  In a group each doubles the span, so there are <= log2(n)."""
+        gens, sub = [], {0}
+        for c in candidates:
+            if c not in sub:
+                gens.append(c)
+                frontier = list(sub)
+                for x in frontier:          # also visits what is appended
+                    new = {self._rows[x][g] for g in gens} - sub
+                    sub |= new
+                    frontier += new
+        return gens, sub
 
     # -- basic ops ---------------------------------------------------------
     @property
@@ -95,7 +84,7 @@ class FiniteGroup:
         return int(g)
 
     def mul(self, a, b):
-        return int(self.table[self.check(a), self.check(b)])
+        return self._rows[self.check(a)][self.check(b)]
 
     def inv(self, a):
         return int(self._inv[self.check(a)])
@@ -108,42 +97,30 @@ class FiniteGroup:
 
     def two_torsion(self):
         """Nontrivial involutions, in index order."""
-        diag = self.table[np.arange(self.n), np.arange(self.n)]
-        return [g for g in range(1, self.n) if diag[g] == 0]
+        return [g for g in range(1, self.n) if self._rows[g][g] == 0]
 
     # -- H_1(X; Z/2) -------------------------------------------------------
     def _h1_setup(self):
         if not hasattr(self, "_h1"):
-            n = self.n
+            n, rows = self.n, self._rows
             # the squares generate the kernel of G -> H_1(G; Z/2): the
             # subgroup is normal, and it holds every commutator, as
             # a b a^-1 b^-1 = a^2 (a^-1 b)^2 b^-2
-            sub = self._span(set(self.table.diagonal().tolist()))
-            # coset labels
-            coset = {}
-            rep = []
+            sub = self._span(self.table.diagonal().tolist())[1]
+            # coset labels: the least element of each coset
+            coset = [None] * n
             for g in range(n):
-                if g in coset:
-                    continue
-                cid = len(rep)
-                rep.append(g)
-                for s in sub:
-                    coset[self.mul(g, s)] = cid
-            # the quotient is elementary abelian 2; pick a greedy basis
-            basis = []
-            span = {coset[0]: np.zeros(0, dtype=np.uint8)}
+                if coset[g] is None:
+                    for s in sub:
+                        coset[rows[g][s]] = g
+            # the quotient is elementary abelian 2; greedy basis, bit masks
+            d, mask = 0, {coset[0]: 0}
             for g in range(n):
-                c = coset[g]
-                if c not in span:
-                    basis.append(g)
-                    new_span = {}
-                    for cid, vec in span.items():
-                        gv = self.mul(rep[cid], g)
-                        new_span[coset[gv]] = np.concatenate([vec, [1]])
-                    span = {cid: np.concatenate([vec, [0]]) for cid, vec in span.items()}
-                    span.update(new_span)
-            d = len(basis)
-            coords = {cid: vec for cid, vec in span.items()}
+                if coset[g] not in mask:
+                    mask.update({coset[rows[c][g]]: m | 1 << d for c, m in mask.items()})
+                    d += 1
+            coords = {c: np.array([m >> i & 1 for i in range(d)], dtype=np.uint8)
+                      for c, m in mask.items()}
             self._h1 = (d, coset, coords)
         return self._h1
 
@@ -377,6 +354,29 @@ def _smith_solve(A, b):
         if sum(int(A[i, j]) * x[j] for j in range(n)) != b[i]:
             return None
     return x
+
+
+def _table_array(table):
+    """The table as a square int64 array of order 1..MAX_TABLE_ORDER: int entries, in range."""
+    try:
+        rows = [list(r) for r in (table.tolist() if isinstance(table, np.ndarray) else table)]
+    except TypeError:
+        raise GroupError("multiplication table must be square") from None
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise GroupError("multiplication table must be square")
+    if n == 0 or n > MAX_TABLE_ORDER:
+        raise GroupError(f"table order must be in 1..{MAX_TABLE_ORDER}")
+    if not all(issubclass(tp, (int, np.integer)) and tp is not bool
+               for tp in set(map(type, chain.from_iterable(rows)))):
+        raise GroupError("table entries must be integers")
+    try:
+        t = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise GroupError("table entries out of range") from None
+    if t.min() < 0 or t.max() >= n:
+        raise GroupError("table entries out of range")
+    return t
 
 
 def group_from_json(obj):

@@ -185,6 +185,10 @@ def _parity_ok(state: LinkState) -> bool:
                for a, i in state.pairs())
 
 
+def _invariants(G, ctx, state):
+    return mu(G, state), delta(G, ctx, state) if ctx.s_characteristic else None
+
+
 def sweep(seed: int = 0, count: int = 1000, groups=None, steps=10) -> SweepReport:
     """Apply random moves to random reachable states until ``count`` post
     states were checked; record any invariance violation."""
@@ -195,6 +199,7 @@ def sweep(seed: int = 0, count: int = 1000, groups=None, steps=10) -> SweepRepor
     while rep.states < count:
         G = groups[names[int(rng.integers(len(names)))]]
         ctx = CONTEXTS[int(rng.integers(len(CONTEXTS)))]
+        inv = None       # mu and delta of the walk's current state
         for pre, move, params, post in walk(G, ctx, rng, steps=steps):
             rep.states += 1
             rep.moves_applied[move] = rep.moves_applied.get(move, 0) + 1
@@ -202,10 +207,13 @@ def sweep(seed: int = 0, count: int = 1000, groups=None, steps=10) -> SweepRepor
             v = validate(G, ctx, post)
             if not v.ok:
                 rep.violations.append((case, "validate", v.violations))
-            if not np.array_equal(mu(G, pre), mu(G, post)):
+            # each step's pre is the previous step's post
+            pre_inv = inv or _invariants(G, ctx, pre)
+            inv = _invariants(G, ctx, post)
+            if not np.array_equal(pre_inv[0], inv[0]):
                 rep.violations.append((case, "mu", None))
             if ctx.s_characteristic:
-                if not np.array_equal(delta(G, ctx, pre), delta(G, ctx, post)):
+                if not np.array_equal(pre_inv[1], inv[1]):
                     rep.violations.append((case, "delta", None))
                 if ctx.dual_sphere is not None and not _parity_ok(post):
                     rep.violations.append((case, "dual-parity", None))

@@ -16,11 +16,24 @@ def klein_table():
     return [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
 
+# the smallest loop that is not a group: identity 0, every element its own
+# two-sided inverse, rows and columns permutations, but not associative
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
 class TestFiniteGroup:
+    def test_rejects_missing_inverses(self):
+        with pytest.raises(GroupError, match="inverses"):
+            FiniteGroup([[0, 1], [1, 1]])
+
     def test_rejects_non_associative(self):
-        t = [[0, 1], [1, 1]]
-        with pytest.raises(GroupError):
-            FiniteGroup(t)
+        for gens in (None, [4, 3], [1, 2, 3, 4]):
+            with pytest.raises(GroupError, match="not associative"):
+                FiniteGroup(LOOP5, generators=gens)
 
     def test_rejects_bad_identity(self):
         with pytest.raises(GroupError):
@@ -45,17 +58,47 @@ class TestFiniteGroup:
         assert G.mul(G.mul(2, 4), G.inv(G.mul(4, 2))) == 1
 
     def test_order_255_check_memory(self):
-        # the associativity check of the largest table stays O(n^2), not
-        # two n^3 arrays (about 270 MB at order 255)
+        # construction and the H_1 set-up of the largest table stay O(n^2),
+        # a few tables of n^2 entries
         n = 255
         t = (np.arange(n)[:, None] + np.arange(n)) % n
         tracemalloc.start()
         try:
-            FiniteGroup(t)
+            FiniteGroup(t).eps(1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2 ** 20
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 1.5], [1.5, 0]], "integers"),
+        ([[0, 1.0], [1.0, 0]], "integers"),
+        ([["0", "1"], ["1", "0"]], "integers"),
+        ([[False, True], [True, False]], "integers"),
+        ([[0, True], [True, 0]], "integers"),
+        (np.array([[0, 1], [1, 0]], dtype=bool), "integers"),
+        ([[0, 1], [1, None]], "integers"),
+        ([[0, 1], [1, 2 ** 70]], "out of range"),
+        ([[0, 1], [1, -2 ** 70]], "out of range"),
+        ([[0, 1], [1, 2 ** 63]], "out of range"),
+        ([[0, 1], [1, 2]], "out of range"),
+        ([[0, 1], [1]], "square"),
+        ([[0, 1], 1], "square"),
+        ([0, 1], "square"),
+        (None, "square"),
+        ([], "order"),
+    ], ids=["float", "integral-float", "string", "bool", "bool-mixed",
+            "bool-array", "null", "huge", "huge-negative", "int64-overflow",
+            "range", "ragged", "scalar-row", "flat", "none", "empty"])
+    def test_rejects_malformed_table(self, table, message):
+        with pytest.raises(GroupError, match=message):
+            FiniteGroup(table)
+
+    def test_accepts_numpy_integer_entries(self):
+        rows = [[np.uint8(x) for x in row] for row in klein_table()]
+        G = FiniteGroup(rows)
+        assert G.table.tolist() == klein_table()
+        assert type(G.mul(np.int16(1), 2)) is int
 
     def test_klein_involutions(self):
         G = FiniteGroup(klein_table())
@@ -136,6 +179,83 @@ def test_h1_is_the_quotient_by_squares_and_commutators(table):
     # subgroup, so it is an isomorphism from the quotient
     assert np.array_equal(E[t], E[:, None, :] ^ E[None, :, :])
     assert {g for g in range(G.n) if not E[g].any()} == kernel
+
+
+def product_table(*orders):
+    """Z/orders[0] x Z/orders[1] x ..., elements indexed in row-major order."""
+    idx = np.indices(orders).reshape(len(orders), -1)
+    summed = (idx[:, :, None] + idx[:, None, :]) % np.array(orders)[:, None, None]
+    return np.ravel_multi_index(tuple(summed), orders)
+
+
+# pinned default generators, h1_dim and eps; character g of the string is
+# sum_i eps(g)[i] << i.  The eps coordinates reach witnesses and hashes, so
+# a change of basis order must fail here.
+FROZEN_H1 = {
+    "Q8": (q8_table(), [1, 2, 4], 2, "00112233"),
+    "Klein": (klein_table(), [1, 2], 2, "0123"),
+    "C64": (cyclic_table(64), [1], 1, "01" * 32),
+    "D32": (dihedral_table(32), [1, 32], 2, "01" * 16 + "23" * 16),
+    "C255": (cyclic_table(255), [1], 0, "0" * 255),
+    "D127": (dihedral_table(127), [1, 127], 1, "0" * 127 + "1" * 127),
+    "C2xC6xC2": (product_table(2, 6, 2), [1, 2, 12], 3, "0123" * 3 + "4567" * 3),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_H1)
+def test_h1_coordinates_frozen(name):
+    table, generators, dim, coords = FROZEN_H1[name]
+    G = FiniteGroup(table)
+    assert G.generators == generators
+    assert G.h1_dim() == dim
+    got = "".join(str(sum(int(b) << i for i, b in enumerate(G.eps(g))))
+                  for g in range(G.n))
+    assert got == coords
+
+
+SMALL_GROUPS = [cyclic_table(n).tolist() for n in range(1, 7)] + [
+    klein_table(), dihedral_table(3).tolist()]
+
+
+@st.composite
+def tables_with_identity(draw):
+    """Tables of order <= 6 whose row and column 0 are the identity: random
+    ones, and relabelled groups and loops, some with one entry changed."""
+    base = draw(st.sampled_from([None, LOOP5] + SMALL_GROUPS))
+    if base is None:
+        n = draw(st.integers(1, 6))
+        return [list(range(n))] + [[a] + draw(st.lists(st.integers(0, n - 1),
+                                                        min_size=n - 1, max_size=n - 1))
+                                   for a in range(1, n)]
+    n = len(base)
+    p = [0] + draw(st.permutations(range(1, n)))
+    t = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            t[p[a]][p[b]] = p[base[a][b]]
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+        t[a][b] = draw(st.integers(0, n - 1))
+    return t
+
+
+def is_group_by_triples(t):
+    """With identity 0: a group iff associative and every row holds 0."""
+    R = range(len(t))
+    associative = all(t[t[a][b]][c] == t[a][t[b][c]] for a in R for b in R for c in R)
+    return associative and all(0 in row for row in t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_identity(), st.booleans())
+def test_accepts_exactly_the_groups(t, all_generators):
+    gens = list(range(len(t))) if all_generators else None
+    try:
+        FiniteGroup(t, generators=gens)
+        accepted = True
+    except GroupError:
+        accepted = False
+    assert accepted == is_group_by_triples(t)
 
 
 @pytest.mark.parametrize("name", sorted(standard_groups()))

@@ -6,6 +6,7 @@ from singlink.invariants import (
     InvariantError, QuotientClass, concordance_bound, delta, fq,
     invariant_report, km, km_rel_alpha, mu, normalize_dual, quotient_reduce,
 )
+from singlink import randwalk
 from singlink.randwalk import q8_table
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2, Circle, Context, LinkState, pkey,
@@ -170,3 +171,31 @@ def test_missing_twist_entry_surfaces():
     st = LinkState(circles=cs)  # no tw table
     with pytest.raises(Exception):
         delta(Z2, Context(), st)
+
+
+def test_sweep_computes_mu_once_per_state(monkeypatch):
+    """The sweep carries each post-state's invariants to the next step, and
+    still flags exactly the steps whose pre and post values differ."""
+    calls, steps = [], []
+    real_walk = randwalk.walk
+
+    def parity_mu(G, state):
+        calls.append(state)
+        return np.array([len(state.circles) % 2])
+
+    def recorded_walk(*args, **kwargs):
+        for step in real_walk(*args, **kwargs):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(randwalk, "mu", parity_mu)
+    monkeypatch.setattr(randwalk, "walk", recorded_walk)
+    rep = randwalk.sweep(seed=3, count=300, steps=50)
+    flagged = [case[2] for case, kind, _ in rep.violations if kind == "mu"]
+    want = [k + 1 for k, (pre, _, _, post) in enumerate(steps)
+            if len(pre.circles) % 2 != len(post.circles) % 2]
+    assert want and flagged == want
+    walks = sum(k == 0 or pre is not steps[k - 1][3]
+                for k, (pre, _, _, _) in enumerate(steps))
+    assert len(steps) == rep.states == 300
+    assert len(calls) == rep.states + walks

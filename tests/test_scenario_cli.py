@@ -148,6 +148,11 @@ MALFORMED = {
     "dual_sphere-capitalized": (
         "b3s1-odd", _set(["context", "dual_sphere"], "Unframed")),
     "dual_sphere-number": ("b3s1-odd", _set(["context", "dual_sphere"], 3)),
+    "table-float": ("q8-typeII", _set(["group", "table", 2, 3], 0.5)),
+    "table-string": ("q8-typeII", _set(["group", "table", 2, 3], "0")),
+    "table-bool": ("q8-typeII", _set(["group", "table", 2, 3], False)),
+    "table-huge": ("q8-typeII", _set(["group", "table", 2, 3], 2 ** 70)),
+    "table-ragged": ("q8-typeII", _set(["group", "table", 2], [2, 3, 1])),
 }
 
 
@@ -170,6 +175,11 @@ MALFORMED = {
     ("mu_pi3-string-row", "invariants", "ScenarioError"),
     ("dual_sphere-capitalized", "decide", "ScenarioError"),
     ("dual_sphere-number", "validate", "ScenarioError"),
+    ("table-float", "decide", "ScenarioError"),
+    ("table-string", "decide", "ScenarioError"),
+    ("table-bool", "decide", "ScenarioError"),
+    ("table-huge", "decide", "ScenarioError"),
+    ("table-ragged", "decide", "ScenarioError"),
 ])
 def test_malformed_scenario_exits_one(capsys, tmp_path, case, command, want):
     name, mutate = MALFORMED[case]
