@@ -379,9 +379,20 @@ def _table_array(table):
     return t
 
 
+def _not_bool(obj):
+    """``obj``, unless it is or holds a JSON true or false: Python reads
+    those as the integers 1 and 0, which ``check`` would accept."""
+    if type(obj) is bool or (isinstance(obj, (list, tuple))
+                             and bool in map(type, obj)):
+        raise GroupError(f"not a group element: {obj!r}")
+    return obj
+
+
 def group_from_json(obj):
     kind = obj.get("kind")
     gens = obj.get("generators")
+    if gens is not None:
+        gens = [_not_bool(g) for g in gens]
     if kind == "finite-table":
         return FiniteGroup(obj["table"], generators=gens)
     if kind == "fg-abelian":
@@ -400,7 +411,7 @@ def group_to_json(G):
 
 
 def element_from_json(G, obj):
-    return G.check(obj)
+    return G.check(_not_bool(obj))
 
 
 def element_to_json(G, g):

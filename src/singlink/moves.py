@@ -552,13 +552,34 @@ def _add_hopf_pair(G, ctx, state, g):
 
 # -- records, registry, scripts --------------------------------------------
 
-@dataclass(frozen=True)
 class MoveRecord:
-    move: str
-    params: dict
-    pre_hash: str
-    post_hash: str
-    steps: tuple = ()
+    """One applied move: its name, its encoded params, the primitive steps
+    of a composite, and the hashes of its pre- and post-state.
+
+    The hashes are computed when first read.  Until then the record keeps
+    the group and both states; from then on it keeps the two digests only.
+    """
+
+    __slots__ = ("move", "params", "steps", "_hashes")
+
+    def __init__(self, G, move, params, pre, post, steps=()):
+        self.move, self.params, self.steps = move, params, steps
+        self._hashes = (G, pre, post)
+
+    def hashes(self):
+        """(pre_hash, post_hash), computed on the first call."""
+        if len(self._hashes) == 3:
+            G, pre, post = self._hashes
+            self._hashes = (state_hash(G, pre), state_hash(G, post))
+        return self._hashes
+
+    @property
+    def pre_hash(self) -> str:
+        return self.hashes()[0]
+
+    @property
+    def post_hash(self) -> str:
+        return self.hashes()[1]
 
 
 _PRIMITIVES = {
@@ -617,37 +638,29 @@ def decode_params(G, move, params):
 class Recorder:
     """Applies registry moves to a current state and records each one.
 
-    The current state is kept together with its hash, so the pre-hash of a
-    record is the post-hash of the record before it: every state is hashed
-    once, and only after a move has passed its preconditions.
+    Appending a record resolves the one before it, so a trace holds on to
+    the states of its last record only; as a state's digest is kept on the
+    state, the pre-hash of a record costs nothing once the record before
+    it is resolved, and every state is hashed once.
     """
 
     def __init__(self, G, ctx, state, trace=None):
         self.G, self.ctx = G, ctx
         self.state = state
-        self.hash = None                 # of self.state; None until needed
         self.trace = [] if trace is None else trace
-
-    def current_hash(self):
-        if self.hash is None:
-            self.hash = state_hash(self.G, self.state)
-        return self.hash
 
     def do(self, move, **params):
         """Apply one named move, record it, and return the move's info."""
         if move not in MOVES:
             raise MoveError(f"unknown move {move!r}")
         post, info = MOVES[move](self.G, self.ctx, self.state, **params)
-        rec = MoveRecord(
-            move=move,
-            params=encode_params(self.G, move, params),
-            pre_hash=self.current_hash(),
-            post_hash=state_hash(self.G, post),
-            steps=tuple((n, encode_params(self.G, n, p))
-                        for n, p in info.get("steps", ())),
-        )
-        self.state, self.hash = post, rec.post_hash
-        self.trace.append(rec)
+        if self.trace:
+            self.trace[-1].hashes()
+        self.trace.append(MoveRecord(
+            self.G, move, encode_params(self.G, move, params), self.state, post,
+            tuple((n, encode_params(self.G, n, p))
+                  for n, p in info.get("steps", ()))))
+        self.state = post
         return info
 
 
@@ -663,24 +676,24 @@ def apply_script(G, ctx, state, script):
 
     Fails atomically at the first violated precondition: the exception
     reports the step index and the caller keeps the input state.  Each
-    state is hashed once; a recorded pre-hash is checked against the hash
-    of the step before.
+    recorded pre- and post-hash is checked, and each state is hashed once.
     """
     r = Recorder(G, ctx, state)
     for i, entry in enumerate(script):
         if isinstance(entry, MoveRecord):
-            entry = vars(entry)          # the record's fields, as a dict
+            entry = {"move": entry.move, "params": entry.params,
+                     "pre_hash": entry.pre_hash, "post_hash": entry.post_hash}
         move = entry.get("move") if isinstance(entry, dict) else None
         try:
             if not isinstance(entry, dict):
                 raise MoveError(f"not a move entry: {entry!r}")
             params = decode_params(G, move, entry.get("params", {}))
             want_pre = entry.get("pre_hash")
-            if want_pre and want_pre != r.current_hash():
+            if want_pre and want_pre != state_hash(G, r.state):
                 raise MoveError("pre-state hash mismatch")
             r.do(move, **params)
             want_post = entry.get("post_hash")
-            if want_post and want_post != r.hash:
+            if want_post and want_post != r.trace[-1].post_hash:
                 raise MoveError("post-state hash mismatch")
         except (MoveError, StateError, G_.GroupError) as err:
             raise ScriptError(i, move, str(err)) from err

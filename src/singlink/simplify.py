@@ -29,14 +29,14 @@ def _pair_off(P, ids):
         return True
     a = ids[0]
     for b in ids[1:]:
-        snap_state, snap_hash, snap_len = P.state, P.hash, len(P.trace)
+        snap_state, snap_len = P.state, len(P.trace)
         try:
             P.do("whitney_pair_typeII", a=a, b=b)
         except MoveError:
             continue
         if _pair_off(P, [x for x in ids if x not in (a, b)]):
             return True
-        P.state, P.hash = snap_state, snap_hash
+        P.state = snap_state
         del P.trace[snap_len:]
     return False
 
@@ -252,6 +252,15 @@ def _eliminate_clasps_framed(P):
         P.do("ambient_surgery", a=Fp)
 
 
+def _joined(trace, more):
+    """``trace`` followed by ``more``.  The last record of ``trace`` is
+    hashed and drops its states, as a record does in a `Recorder` once the
+    next one is appended."""
+    if trace and more:
+        trace[-1].hashes()
+    return trace + more
+
+
 def decide(G, ctx: Context, state: LinkState) -> Verdict:
     if ctx.dual_sphere is None:
         raise SimplifyError("the decision procedure needs a dual sphere")
@@ -273,7 +282,7 @@ def decide(G, ctx: Context, state: LinkState) -> Verdict:
         P = Recorder(G, ctx, state)
         _eliminate_clasps_framed(P)
         st, tr2 = eliminate_type_II(G, ctx, P.state)
-        P = Recorder(G, ctx, st, P.trace + tr2)
+        P = Recorder(G, ctx, st, _joined(P.trace, tr2))
         _eliminate_clasps_framed(P)
         while P.state.pairs():
             P.do("ambient_surgery", a=P.state.pairs()[0][0].id)
@@ -290,7 +299,7 @@ def decide(G, ctx: Context, state: LinkState) -> Verdict:
 
     st, trace = eliminate_type_II(G, ctx, state)
     st, tr2, label = reduce_to_hopf(G, ctx, st)
-    trace = trace + tr2
+    trace = _joined(trace, tr2)
     if not np.any(G.eps(label)):
         P = Recorder(G, ctx, st, trace)
         pair = P.state.pairs()[0][0].id

@@ -459,7 +459,14 @@ def _pairs_json(pairs) -> str:
 def state_hash(G, state: LinkState) -> str:
     """sha256 of the canonical JSON of the state, the text of
     ``json.dumps(state_to_json(G, state), sort_keys=True,
-    separators=(",", ":"))``, joined from the circles' cached texts."""
+    separators=(",", ":"))``, joined from the circles' cached texts.
+
+    The digest is kept on the state together with the group it was
+    computed under, as ``Circle.json_text`` keeps its text, so a state is
+    hashed once under one group."""
+    got = state.__dict__.get("_hash")
+    if got is not None and got[0] is G:
+        return got[1]
     circles = ",".join([c.json_text(G) for c in sorted(state.circles, key=_ID)])
     clasps = _pairs_json(sorted(state.clasps))
     # lk holds at most one pair per clasp; holding as many as there are
@@ -469,4 +476,6 @@ def state_hash(G, state: LinkState) -> str:
                    sorted((p, int(bit) & 1) for p, bit in state.tw)])
     blob = (f'{{"circles":[{circles}],"clasps":[{clasps}],"homology_tag":'
             f'{_CANON.encode(state.homology_tag)},"lk":[{lk}],"tw":[{tw}]}}')
-    return hashlib.sha256(blob.encode()).hexdigest()
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    state.__dict__["_hash"] = (G, digest)
+    return digest

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from singlink.groups import (
     AbelianGroup, FiniteGroup, GroupError,
-    group_from_json, group_to_json,
+    element_from_json, group_from_json, group_to_json,
 )
 from singlink.randwalk import q8_table, standard_groups
 
@@ -263,6 +263,25 @@ def test_json_round_trip(name):
     G = standard_groups()[name]
     G2 = group_from_json(group_to_json(G))
     assert group_to_json(G2) == group_to_json(G)
+
+
+@pytest.mark.parametrize("G,obj", [
+    (AbelianGroup(1), [True]),
+    (AbelianGroup(0, (2, 2)), [0, False]),
+    (FiniteGroup([[0, 1], [1, 0]]), True),
+], ids=["Z", "Z2xZ2", "table"])
+def test_element_from_json_rejects_bools(G, obj):
+    with pytest.raises(GroupError):
+        element_from_json(G, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "fg-abelian", "rank": 1, "generators": [[True]]},
+    {"kind": "finite-table", "table": [[0, 1], [1, 0]], "generators": [True]},
+], ids=["abelian", "table"])
+def test_group_from_json_rejects_bool_generators(obj):
+    with pytest.raises(GroupError):
+        group_from_json(obj)
 
 
 def _word_product(G, word):

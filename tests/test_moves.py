@@ -2,17 +2,23 @@
 script replay.  Randomized invariance is exercised separately in the
 acceptance suite; here the expected post-states are written out by hand."""
 
+import json
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from singlink import moves
+from singlink import state as state_mod
 from singlink.groups import AbelianGroup
 from singlink.invariants import delta, mu
 from singlink.moves import (
     MOVES, MoveError, ScriptError, WhitneySpec, apply_move, apply_script,
 )
-from singlink.randwalk import random_step, seed_state, standard_groups
+from singlink.randwalk import (
+    CONTEXTS, random_step, seed_state, standard_groups, walk,
+)
+from singlink.scenario import record_to_json
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
     Circle, Context, LinkState, pkey, state_hash, validate,
@@ -304,13 +310,14 @@ class TestScripts:
         {"move": "finger_move", "params": ["a", "ap"]},
         "finger_move",
         {"move": "trivial_finger", "params": {"g": "abc"}},
+        {"move": "trivial_finger", "params": {"g": [True]}},
         {"move": "whitney_move",
          "params": {"spec": {"a": "a", "b": "ap", "mode": "inverse", "x": 1}}},
         {"move": "whitney_move",
          "params": {"spec": {"a": "a", "b": "ap", "mode": "inverse",
                              "sigma": [["x"]]}}},
     ], ids=["param-name", "params-list", "string-entry", "element",
-            "spec-key", "sigma"])
+            "bool-element", "spec-key", "sigma"])
     def test_malformed_entry_names_its_step(self, entry):
         st = state_of(pair("a", (1,)))
         script = [{"move": "trivial_finger", "params": {"g": [0]}}, entry]
@@ -330,40 +337,81 @@ class TestScripts:
 
 class TestHashOnce:
     @pytest.fixture
-    def hashed(self, monkeypatch):
-        """States hashed through ``moves.state_hash`` while the test runs."""
-        calls, real = [], moves.state_hash
+    def digests(self, monkeypatch):
+        """The number of sha256 digests ``state_hash`` computes while the
+        test runs, read as ``digests()``; a digest kept on a state is not
+        computed again."""
+        count, real = [0], state_mod.hashlib.sha256
 
-        def counting(G, state):
-            calls.append(state)
-            return real(G, state)
-        monkeypatch.setattr(moves, "state_hash", counting)
-        return calls
+        def counting(data):
+            count[0] += 1
+            return real(data)
+        monkeypatch.setattr(state_mod, "hashlib",
+                            types.SimpleNamespace(sha256=counting))
 
-    def test_rejected_move_is_not_hashed(self, hashed):
+        def taken():
+            n, count[0] = count[0], 0
+            return n
+        return taken
+
+    def test_rejected_move_is_not_hashed(self, digests):
         st = state_of(pair("a", (1,)))
         with pytest.raises(MoveError):
             apply_move(Z, CTX, st, "clasp_finger", {"a": "a", "b": "ap"})
-        assert hashed == []
+        assert digests() == 0
         apply_move(Z, CTX, st, "finger_move", {"a": "a", "b": "ap"})
-        assert len(hashed) == 2
+        assert digests() == 0
 
-    def test_script_hashes_each_state_once(self, hashed):
-        st = state_of(pair("a", (1,)) + pair("b", (1,)))
+    def test_record_hashes_on_first_read(self, digests):
+        st = state_of(pair("a", (1,)))
+        post, rec = apply_move(Z, CTX, st, "finger_move", {"a": "a", "b": "ap"})
+        assert digests() == 0
+        assert rec.post_hash == state_hash(Z, post)
+        assert digests() == 2
+        assert (rec.pre_hash, rec.post_hash) == (state_hash(Z, st),
+                                                 state_hash(Z, post))
+        assert digests() == 0
+
+    def test_script_hashes_each_state_once(self, digests):
+        def start():
+            return state_of(pair("a", (1,)) + pair("b", (1,)))
         script = [
             {"move": "finger_move", "params": {"a": "a", "b": "b"}},
             {"move": "clasp_finger", "params": {"a": "a", "b": "b"}},
             {"move": "flip_activity", "params": {"a": "a"}},
             {"move": "trivial_finger", "params": {"g": [3]}},
         ]
-        _, trace = apply_script(Z, CTX, st, script)
-        assert len(hashed) == len(script) + 1
+        _, trace = apply_script(Z, CTX, start(), script)
+        # appending a record resolves the one before it; the last one
+        # waits until it is read
+        assert digests() == len(script)
+        hashes = [(r.pre_hash, r.post_hash) for r in trace]
+        assert digests() == 1
         # replaying the records checks every pre- and post-hash, still
-        # with one hash per state
-        del hashed[:]
-        final, _ = apply_script(Z, CTX, st, trace)
-        assert len(hashed) == len(script) + 1
-        assert moves.state_hash(Z, final) == trace[-1].post_hash
+        # with one digest per state
+        final, replayed = apply_script(Z, CTX, start(), trace)
+        assert digests() == len(script) + 1
+        assert [(r.pre_hash, r.post_hash) for r in replayed] == hashes
+        assert state_hash(Z, final) == trace[-1].post_hash
+        assert digests() == 0
+
+
+@pytest.mark.parametrize("gname", sorted(standard_groups()))
+def test_sweep_steps_replay_from_their_records(gname):
+    # each random-walk step, recorded and serialized, replays with both of
+    # its hashes checked to the state the walk reached
+    G = standard_groups()[gname]
+    seen = 0
+    for i, ctx in enumerate(CONTEXTS):
+        for seed in range(4):
+            rng = np.random.default_rng([seed, i, 11])
+            for pre, move, params, post in walk(G, ctx, rng, steps=10):
+                _, rec = apply_move(G, ctx, pre, move, params)
+                entry = json.loads(json.dumps(record_to_json(rec)))
+                final, _ = apply_script(G, ctx, pre, [entry])
+                assert state_hash(G, final) == state_hash(G, post)
+                seen += 1
+    assert seen > 0
 
 
 @settings(max_examples=80, deadline=None)

@@ -153,6 +153,9 @@ MALFORMED = {
     "table-bool": ("q8-typeII", _set(["group", "table", 2, 3], False)),
     "table-huge": ("q8-typeII", _set(["group", "table", 2, 3], 2 ** 70)),
     "table-ragged": ("q8-typeII", _set(["group", "table", 2], [2, 3, 1])),
+    "label-bool": ("q8-typeII", _set(["state", "circles", 0, "label"], True)),
+    "generator-bool": ("b3s1-odd", _set(["group", "generators"], [[True]])),
+    "table-generator-bool": ("q8-typeII", _set(["group", "generators"], [2, 4, True])),
 }
 
 
@@ -180,6 +183,9 @@ MALFORMED = {
     ("table-bool", "decide", "ScenarioError"),
     ("table-huge", "decide", "ScenarioError"),
     ("table-ragged", "decide", "ScenarioError"),
+    ("label-bool", "validate", "ScenarioError"),
+    ("generator-bool", "decide", "ScenarioError"),
+    ("table-generator-bool", "validate", "ScenarioError"),
 ])
 def test_malformed_scenario_exits_one(capsys, tmp_path, case, command, want):
     name, mutate = MALFORMED[case]

@@ -1,13 +1,17 @@
+import gc
 import random
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from singlink import groups
+from singlink import groups, moves
 from singlink.groups import AbelianGroup, FiniteGroup
 from singlink.invariants import delta, mu
 from singlink.moves import apply_script
 from singlink.randwalk import q8_table, seed_state
+from singlink.scenario import load_scenario
 from singlink.simplify import (
     SimplifyError, decide, eliminate_type_II, reduce_cycle_to_label,
     reduce_to_hopf,
@@ -23,6 +27,7 @@ Z4 = AbelianGroup(0, (4,))
 Q8 = FiniteGroup(q8_table(), generators=[2, 4])
 SCHAR = Context(s_characteristic=True, dual_sphere="unframed")
 FRAMED = Context(dual_sphere="framed")
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def cyclic_table(n):
@@ -236,6 +241,44 @@ class TestDecide:
         final, replayed = apply_script(Z, SCHAR, st, v.trace)
         assert len(replayed) == len(v.trace)
         assert state_hash(Z, final) == state_hash(Z, v.final_state)
+
+    @pytest.mark.parametrize("case", ["cycle64", "q8-typeII", "framed"])
+    def test_trace_keeps_only_its_last_states(self, case, monkeypatch):
+        # a record drops its states once it is hashed, and each record is
+        # hashed when the next one is appended, also across the stages of
+        # decide: of the states a trace passes through, at most the last
+        # record's stay alive
+        if case == "cycle64":
+            rng = random.Random("ladder-1-64")
+            G, ctx = Z, SCHAR
+            st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(64)])
+        elif case == "q8-typeII":
+            sc = load_scenario(str(SCENARIOS / "q8-typeII.json"))
+            G, ctx, st = sc.G, sc.ctx, sc.state
+        else:
+            # clasps, then type II cancellation, then clasps again
+            G, ctx = Z, FRAMED
+            t2 = type2_state(Z, [(0,)] * 3, tw={("s0", "s1"): 0,
+                                                 ("s0", "s2"): 1,
+                                                 ("s1", "s2"): 0})
+            st = LinkState(circles=tuple(pair("h", (1,))) + t2.circles,
+                           clasps=(("h", "hp"), ("h", "s0")),
+                           tw=t2.tw).normalized()
+        refs = []
+        for name, fn in list(moves.MOVES.items()):
+            def kept(*args, fn=fn, **kwargs):
+                post, info = fn(*args, **kwargs)
+                refs.append(weakref.ref(post))
+                return post, info
+            monkeypatch.setitem(moves.MOVES, name, kept)
+        v = decide(G, ctx, st)
+        gc.collect()
+        assert len(refs) == len(v.trace) > 2
+        alive = {i for i, r in enumerate(refs) if r() is not None}
+        assert alive <= {len(refs) - 2, len(refs) - 1}
+        assert v.trace[-1].post_hash == state_hash(G, v.final_state)
+        gc.collect()
+        assert refs[-2]() is None
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_cycle_moves_encode_only_new_labels(self, n, monkeypatch):

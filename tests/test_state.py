@@ -1,10 +1,12 @@
 import hashlib
 import json
 import random
+import types
 
 import numpy as np
 import pytest
 
+from singlink import state as state_mod
 from singlink.groups import AbelianGroup, FiniteGroup
 from singlink.invariants import delta, mu
 from singlink.moves import MOVES, MoveError, apply_move, decode_params
@@ -276,6 +278,27 @@ def test_circle_text_follows_the_group():
         assert state_hash(G, s) == reference_hash(G, s)
         hashes.append(state_hash(G, s))
     assert len(set(hashes)) == 3
+
+
+def test_hash_memo_follows_the_group(monkeypatch):
+    # a state keeps its digest with the group it was computed under: hashed
+    # again under that group it computes nothing, and under another group,
+    # or back under the first, it computes the digest of that group
+    digests, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(state_mod, "hashlib", types.SimpleNamespace(
+        sha256=lambda data: digests.append(data) or sha256(data)))
+    st = LinkState(circles=tuple(pair("a", (4,))) + (
+        Circle("x", TYPE2, "x", None, (2,)),), clasps=(("a", "ap"),))
+    Z3, Z5 = AbelianGroup(0, (3,)), AbelianGroup(0, (5,))
+    got = []
+    for G, computed in ((Z3, 1), (Z3, 0), (Z5, 1), (Z3, 1)):
+        del digests[:]
+        got.append(state_hash(G, st))
+        assert len(digests) == computed
+        assert got[-1] == hashlib.sha256(json.dumps(
+            state_to_json(G, st), sort_keys=True,
+            separators=(",", ":")).encode()).hexdigest()
+    assert got[0] != got[2]
 
 
 def test_fresh_ids_skip_used_ids():
