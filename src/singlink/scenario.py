@@ -31,9 +31,9 @@ class Scenario:
 
 def scenario_from_json(obj: dict) -> Scenario:
     try:
-        version = int(obj.get("schema_version", -1))
-        if version != SCHEMA_VERSION:
-            raise ScenarioError(f"unsupported schema version {version}")
+        version = obj.get("schema_version")
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ScenarioError(f"unsupported schema version {version!r}")
         G = group_from_json(obj["group"])
         ctx = context_from_json(obj.get("context", {}))
         state = state_from_json(G, obj["state"])

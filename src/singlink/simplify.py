@@ -108,31 +108,24 @@ def reduce_to_hopf(G, ctx, state):
     # 2: per pair, balance meridian counts across the two sides, split down
     # to one meridian per side, and surger away meridian-free pairs
     while True:
-        action = None
         for act, inact in P.state.pairs():
             ma, mi = P.state.linked_ids(act.id), P.state.linked_ids(inact.id)
             if not ma and not mi:
-                action = ("surgery", act.id)
+                P.do("ambient_surgery", a=act.id)
             elif len(ma) > len(mi):
-                action = ("move", act.id, ma[0])
+                P.do("move_meridian", a=act.id, e=ma[0])
             elif len(mi) > len(ma):
-                action = ("move", inact.id, mi[0])
+                P.do("move_meridian", a=inact.id, e=mi[0])
             elif len(ma) > 1:
-                sigma = ((ma[0], (0, 1)), (mi[0], (0, 1)))
-                action = ("split", act.id, inact.id, sigma)
-            if action:
-                break
-        if action is None:
+                P.do("whitney_move", spec={
+                    "a": act.id, "b": inact.id, "mode": "inverse",
+                    "sigma": ((ma[0], (0, 1)), (mi[0], (0, 1))),
+                    "nu": 0, "clean": True, "n": 0})
+            else:
+                continue
             break
-        if action[0] == "surgery":
-            P.do("ambient_surgery", a=action[1])
-        elif action[0] == "move":
-            P.do("move_meridian", a=action[1], e=action[2])
         else:
-            _, a, b, sigma = action
-            P.do("whitney_move", spec={
-                "a": a, "b": b, "mode": "inverse",
-                "sigma": sigma, "nu": 0, "clean": True, "n": 0})
+            break
 
     # 3: the linking relation is now a perfect matching; walk each cycle of
     # (link, duality) edges and shorten it until only length-1 cycles

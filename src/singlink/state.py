@@ -11,7 +11,8 @@ A state is a finite set of labeled circles with mod-2 linking data:
 
 A clasp realizes a linking, so the symmetric mod-2 linking relation ``lk``
 is not stored: two distinct circles link exactly when an odd number of
-clasps join them, and ``lk`` is read off ``clasps``.
+clasps join them.  Every linking and clasp lookup, ``lk`` included, is
+read off one per-circle map of clasp counts built from ``clasps``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -92,34 +92,21 @@ class LinkState:
         return {c.id: c for c in reversed(self.circles)}
 
     @cached_property
-    def _clasp_counts(self):
-        return Counter(self.clasps)
+    def _links(self):
+        """Circle id -> {other circle id: number of clasps joining them};
+        a self-clasp counts once, in its circle's row."""
+        links = {}
+        for a, b in self.clasps:
+            n = links.setdefault(a, {}).get(b, 0) + 1
+            links[a][b] = links.setdefault(b, {})[a] = n
+        return links
 
     @cached_property
     def lk(self):
         """Sorted pairs of distinct circles with linking 1: those joined by
         an odd number of clasps."""
-        return frozenset(k for k, n in self._clasp_counts.items()
-                         if n % 2 and k[0] != k[1])
-
-    @cached_property
-    def _adjacent(self):
-        adj = {}
-        for a, b in self.lk:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        for ids in adj.values():
-            ids.sort()
-        return adj
-
-    @cached_property
-    def _clasped(self):
-        """Circle id -> the set of clasp pairs at that circle."""
-        at = {}
-        for k in self._clasp_counts:
-            for x in set(k):
-                at.setdefault(x, set()).add(k)
-        return at
+        return frozenset((a, b) for a, row in self._links.items()
+                         for b, n in row.items() if n % 2 and a < b)
 
     @cached_property
     def _normal(self):
@@ -134,14 +121,18 @@ class LinkState:
             raise StateError(f"no circle with id {cid!r}") from None
 
     def linking(self, a: str, b: str) -> int:
-        return 1 if pkey(a, b) in self.lk else 0
+        return 1 if a != b and self.clasp_count(a, b) % 2 else 0
 
     def lk_total(self, cid: str) -> int:
-        """lk(C, L - C) mod 2."""
-        return len(self._adjacent.get(cid, ())) % 2
+        """lk(C, L - C) mod 2: the parity of the clasps joining C to the
+        other circles."""
+        row = self._links.get(cid, {})
+        return (sum(row.values()) - row.get(cid, 0)) % 2
 
     def linked_ids(self, cid: str):
-        return list(self._adjacent.get(cid, ()))
+        """The sorted ids of the other circles that ``cid`` links."""
+        return sorted([x for x, n in self._links.get(cid, {}).items()
+                       if n % 2 and x != cid])
 
     def twist(self, a: str, b: str) -> int:
         k = pkey(a, b)
@@ -171,11 +162,11 @@ class LinkState:
         return sorted((c for c in self.circles if c.kind == TYPE2), key=lambda c: c.id)
 
     def clasp_count(self, a: str, b: str) -> int:
-        return self._clasp_counts[pkey(a, b)]
+        return self._links.get(a, {}).get(b, 0)
 
     def clasps_at(self, cid: str):
         """The distinct clasp pairs at circle ``cid``."""
-        return self._clasped.get(cid, ())
+        return {pkey(cid, x) for x in self._links.get(cid, ())}
 
     def fresh_ids(self, count: int, prefix: str = "c"):
         # each candidate is tried once, so only the state's ids can clash
@@ -207,8 +198,8 @@ class LinkState:
         of its id), the clasp count of each pair in the dict ``clasps`` set
         to its value, and, if ``tw`` is given, the twist entries ``tw``.
 
-        The new fields are merged into the sorted old ones, and the new
-        indexes are the old ones with the touched rows rebuilt, so the cost
+        The new fields are merged into the sorted old ones, and only the
+        clasp-count rows of the touched circles are copied, so the cost
         follows the edits more than the size of the state.
         """
         old = self.canonical()
@@ -221,50 +212,30 @@ class LinkState:
                 del circles[bisect_left(circles, c.id, key=_ID)]
             insort(circles, c, key=_ID)
             by_id[c.id] = c
-        cl, counts, lk = old.clasps, old._clasp_counts, old.lk
-        adj, at = old._adjacent, old._clasped
+        cl, links, lk = old.clasps, old._links, old.lk
         if clasps:
-            cl, counts = list(cl), counts.copy()
-            flipped, links, toggled = set(), {}, {}
-            for k, n in clasps.items():
-                was = old._clasp_counts[k]
-                if n == was:
-                    continue
-                lo = bisect_left(cl, k)
-                cl[lo:lo + was] = [k] * n
-                if n:
-                    counts[k] = n
-                else:
-                    del counts[k]
-                if (was > 0) != (n > 0):
-                    for x in set(k):
-                        toggled.setdefault(x, set()).add(k)
-                if (n - was) % 2 and k[0] != k[1]:
-                    flipped.add(k)
-                    links.setdefault(k[0], set()).add(k[1])
-                    links.setdefault(k[1], set()).add(k[0])
-            cl = tuple(cl)
-            lk = lk ^ flipped
-            adj, at = dict(adj), dict(at)
-            for x, ys in links.items():
-                row = sorted(set(old._adjacent.get(x, ())) ^ ys)
+            cl, flipped = list(cl), set()
+            rows = {x: dict(links.get(x, ())) for k in clasps for x in k}
+            for (a, b), n in clasps.items():
+                was = old.clasp_count(a, b)
+                lo = bisect_left(cl, (a, b))
+                cl[lo:lo + was] = [(a, b)] * n
+                rows[a][b] = rows[b][a] = n
+                if (n - was) % 2 and a != b:
+                    flipped.add((a, b))
+            cl, links, lk = tuple(cl), dict(links), lk ^ flipped
+            for x, row in rows.items():
+                row = {y: m for y, m in row.items() if m}
                 if row:
-                    adj[x] = row
+                    links[x] = row
                 else:
-                    del adj[x]
-            for x, ks in toggled.items():
-                row = old._clasped.get(x, set()) ^ ks
-                if row:
-                    at[x] = row
-                else:
-                    del at[x]
+                    links.pop(x, None)
         if tw is not None:
             tw = tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in tw))
         new = LinkState(circles=tuple(circles), clasps=cl,
                         tw=old.tw if tw is None else tw,
                         homology_tag=old.homology_tag)
-        new.__dict__.update(_normal=True, _by_id=by_id, _clasp_counts=counts,
-                            lk=lk, _adjacent=adj, _clasped=at)
+        new.__dict__.update(_normal=True, _by_id=by_id, _links=links, lk=lk)
         return new
 
 
@@ -393,7 +364,9 @@ def state_from_json(G, obj: dict) -> LinkState:
             role=c.get("role"), label=label,
         ))
     clasps = tuple(tuple(p) for p in obj.get("clasps", []))
-    tw = tuple((tuple(p), int(bit)) for p, bit in obj.get("tw", []))
+    tw = tuple((tuple(p), bit) for p, bit in obj.get("tw", []))
+    if not all(type(bit) is int and bit in (0, 1) for _, bit in tw):
+        raise StateError("every twist bit must be the integer 0 or 1")
     pairs = clasps + tuple(p for p, _ in tw)
     if (any(len(p) != 2 for p in pairs)
             or not all(type(c.id) is str and type(c.partner) is str for c in circles)

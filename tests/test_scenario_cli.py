@@ -156,6 +156,14 @@ MALFORMED = {
     "label-bool": ("q8-typeII", _set(["state", "circles", 0, "label"], True)),
     "generator-bool": ("b3s1-odd", _set(["group", "generators"], [[True]])),
     "table-generator-bool": ("q8-typeII", _set(["group", "generators"], [2, 4, True])),
+    "tw-three": ("q8-typeII", _set(["state", "tw", 0, 1], 3)),
+    "tw-string": ("q8-typeII", _set(["state", "tw", 0, 1], "1")),
+    "tw-bool": ("q8-typeII", _set(["state", "tw", 0, 1], True)),
+    "tw-float": ("q8-typeII", _set(["state", "tw", 0, 1], 1.7)),
+    "tw-half": ("q8-typeII", _set(["state", "tw", 0, 1], 0.5)),
+    "schema-bool": ("b3s1-odd", _set(["schema_version"], True)),
+    "schema-string": ("b3s1-odd", _set(["schema_version"], "1")),
+    "schema-float": ("b3s1-odd", _set(["schema_version"], 1.9)),
 }
 
 
@@ -186,6 +194,14 @@ MALFORMED = {
     ("label-bool", "validate", "ScenarioError"),
     ("generator-bool", "decide", "ScenarioError"),
     ("table-generator-bool", "validate", "ScenarioError"),
+    ("tw-three", "validate", "ScenarioError"),
+    ("tw-string", "invariants", "ScenarioError"),
+    ("tw-bool", "validate", "ScenarioError"),
+    ("tw-float", "decide", "ScenarioError"),
+    ("tw-half", "validate", "ScenarioError"),
+    ("schema-bool", "validate", "ScenarioError"),
+    ("schema-string", "decide", "ScenarioError"),
+    ("schema-float", "validate", "ScenarioError"),
 ])
 def test_malformed_scenario_exits_one(capsys, tmp_path, case, command, want):
     name, mutate = MALFORMED[case]

@@ -206,17 +206,62 @@ def reference_hash(G, state):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-INDEXES = ("_clasp_counts", "lk", "_by_id", "_adjacent", "_clasped")
+INDEXES = ("lk", "_by_id", "_links")
 
 
 def assert_indexes_rebuilt(st):
     # a delta-built state is in canonical order and carries the indexes a
-    # state rebuilt from its fields computes
+    # state rebuilt from its fields computes, and answers every query alike
     rebuilt = LinkState(circles=st.circles, clasps=st.clasps, tw=st.tw,
                         homology_tag=st.homology_tag)
     assert st == rebuilt.normalized()
     for name in INDEXES:
         assert getattr(st, name) == getattr(rebuilt, name), name
+    ids = [c.id for c in st.circles]
+    for a in ids:
+        assert st.linked_ids(a) == rebuilt.linked_ids(a), a
+        assert st.lk_total(a) == rebuilt.lk_total(a), a
+        assert set(st.clasps_at(a)) == set(rebuilt.clasps_at(a)), a
+        for b in ids:
+            assert st.clasp_count(a, b) == rebuilt.clasp_count(a, b), (a, b)
+            assert st.linking(a, b) == rebuilt.linking(a, b), (a, b)
+
+
+def test_even_multiplicities_and_self_clasps():
+    # "s" is clasped twice to "a" and its dual is split, so surgery on it
+    # removes a circle with an even clasp count
+    st = LinkState(circles=tuple(pair("a") + pair("b") + pair("s")),
+                   clasps=(("a", "s"), ("a", "s"))).normalized()
+    ctx = Context(dual_sphere="unframed")
+
+    def step(st, move, **params):
+        post, _ = MOVES[move](Z, ctx, st, **params)
+        assert_indexes_rebuilt(post)
+        return post
+
+    def even(st, a, b):
+        assert st.clasp_count(a, b) == 2 and st.linking(a, b) == 0
+        assert pkey(a, b) in st.clasps_at(a) and pkey(a, b) in st.clasps_at(b)
+        assert b not in st.linked_ids(a) and a not in st.linked_ids(b)
+        assert pkey(a, b) not in st.lk
+
+    even(st, "a", "s")
+    st = step(st, "finger_move", a="a", b="b")
+    assert st.clasp_count("a", "b") == 1 and "b" in st.linked_ids("a")
+    st = step(st, "finger_move", a="a", b="b")
+    even(st, "a", "b")
+    st = step(st, "clasp_finger", a="a", b="b")
+    assert st.clasp_count("a", "b") == 1 and st.linking("a", "b") == 1
+    assert st.linked_ids("b") == ["a"]
+    st = step(st, "finger_move", a="b", b="b")
+    assert st.clasp_count("b", "b") == 1 and st.linking("b", "b") == 0
+    assert ("b", "b") in st.clasps_at("b") and "b" not in st.linked_ids("b")
+    assert st.linked_ids("b") == ["a"]
+    even(st, "a", "s")
+    st = step(st, "ambient_surgery", a="s")
+    assert "s" not in st._by_id and "s" not in st._links
+    assert st.clasp_count("a", "s") == 0
+    assert all("s" not in k for k in st.clasps_at("a"))
 
 
 @pytest.mark.parametrize("gname", sorted(standard_groups()))
@@ -230,6 +275,8 @@ def test_hash_and_indexes_along_walks(gname):
                 assert state_hash(G, post) == reference_hash(G, post)
                 assert state_hash(G, pre) == reference_hash(G, pre)
                 assert_indexes_rebuilt(post)
+                # and the move left the pre-state's indexes as they were
+                assert_indexes_rebuilt(pre)
                 seen += 1
     assert seen > 0
 
