@@ -220,7 +220,7 @@ def _rule_twist(G, report, ks, ms):
             for i in range(1, m + 1):
                 circles += _pair(f"C{i}", G=G)
             clasps = tuple((f"C{i}", "A") for i in range(1, m + 1))
-            st = LinkState(circles=tuple(circles), clasps=clasps).normalized()
+            st = LinkState(circles=tuple(circles), clasps=clasps)
             post, _ = MOVES["ambient_surgery"](G, ctx, st, a="A")
             d = scene("meridians-with-twist", k=k, m=m)
             for i in range(1, m + 1):
@@ -233,7 +233,7 @@ def _rule_twist(G, report, ks, ms):
 def _rule_belt(G, report):
     d = scene("band-belt")
     ctx = Context(dual_sphere="framed")
-    st = LinkState(circles=tuple(_pair("U", G=G))).normalized()
+    st = LinkState(circles=tuple(_pair("U", G=G)))
     spec = {"a": "U", "b": "Up", "mode": "inverse", "nu": 0,
             "clean": False, "n": 1}
     post, info = MOVES["whitney_move"](G, ctx, st, spec=spec)
@@ -257,7 +257,7 @@ def _rule_band_sum(G, report, rng=(-2, 3)):
             _check(report, ("integer", p, q), lkv, p + q)
             circles = _pair("A", G=G) + _pair("B", G=G) + _pair("X", G=G)
             clasps = (("A", "X"),) * (p % 2) + (("B", "X"),) * (q % 2)
-            st = LinkState(circles=tuple(circles), clasps=clasps).normalized()
+            st = LinkState(circles=tuple(circles), clasps=clasps)
             spec = {"a": "A", "b": "B", "mode": "equal", "clean": True}
             post, info = MOVES["whitney_move"](G, ctx, st, spec=spec)
             c, _ = info["outputs"]
@@ -267,7 +267,7 @@ def _rule_band_sum(G, report, rng=(-2, 3)):
 def _rule_clasp_finger(G, report):
     d = scene("clasp-finger")
     circles = _pair("A", G=G) + _pair("B", G=G)
-    st = LinkState(circles=tuple(circles), clasps=(("A", "B"),)).normalized()
+    st = LinkState(circles=tuple(circles), clasps=(("A", "B"),))
     post, info = MOVES["clasp_finger"](G, Context(), st, a="A", b="B")
     e, ep = info["spawned"]
     for case, got, pair in (

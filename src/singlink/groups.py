@@ -338,13 +338,12 @@ def _smith_solve(A, b):
     z = [0] * n
     for i in range(m):
         c = pivot_col[i]
-        acc = sum(M[i][j] * z[j] for j in range(n) if M[i][j] != 0 and z[j] != 0 and (c is None or j != c))
-        rhs = b[i] - acc
+        # z is set only at the pivot columns of earlier rows, all below c
+        rhs = b[i] - sum(M[i][j] * z[j] for j in range(n) if z[j])
         if c is None:
             if rhs != 0:
                 return None
             continue
-        rhs = b[i] - sum(M[i][j] * z[j] for j in range(c) if M[i][j] != 0)
         if rhs % M[i][c] != 0:
             return None
         z[c] = rhs // M[i][c]

@@ -48,7 +48,7 @@ class _B:
     pairs and the twist entries."""
 
     def __init__(self, state: LinkState):
-        self.base = state.canonical()
+        self.base = state
         self.removed = set()
         self.added = {}
         self.counts = {}

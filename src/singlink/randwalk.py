@@ -76,7 +76,7 @@ def seed_state(G, ctx, rng, type2=True) -> LinkState:
             for b in t2[i + 1:]:
                 if G.element_key(a.label) == G.element_key(b.label):
                     tw.append((pkey(a.id, b.id), int(rng.integers(2))))
-    return LinkState(circles=tuple(circles), tw=tuple(tw)).normalized()
+    return LinkState(circles=tuple(circles), tw=tuple(tw))
 
 
 def _candidate(G, ctx, state, rng, type2=True):
@@ -107,7 +107,7 @@ def _candidate(G, ctx, state, rng, type2=True):
     if name == "clasp_finger":
         if not state.clasps:
             return None
-        a, b = pick(sorted(state.clasps))
+        a, b = pick(state.clasps)
         return name, {"a": a, "b": b}
     if name == "flip_activity":
         if not t1:

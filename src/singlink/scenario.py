@@ -29,11 +29,15 @@ class Scenario:
     name: str = ""
 
 
+def _check_version(obj: dict):
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ScenarioError(f"unsupported schema version {version!r}")
+
+
 def scenario_from_json(obj: dict) -> Scenario:
     try:
-        version = obj.get("schema_version")
-        if type(version) is not int or version != SCHEMA_VERSION:
-            raise ScenarioError(f"unsupported schema version {version!r}")
+        _check_version(obj)
         G = group_from_json(obj["group"])
         ctx = context_from_json(obj.get("context", {}))
         state = state_from_json(G, obj["state"])
@@ -87,7 +91,10 @@ def trace_to_json(trace) -> dict:
 
 
 def script_from_json(obj):
+    """A move script: a bare list of entries, or a trace object of this
+    schema version that carries one."""
     if isinstance(obj, dict):
+        _check_version(obj)
         obj = obj.get("script", [])
     if not isinstance(obj, list):
         raise ScenarioError("script must be a list of move entries")

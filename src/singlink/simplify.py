@@ -101,8 +101,8 @@ def reduce_to_hopf(G, ctx, state):
     # 1: resolve every clasp between the entry circles, in sorted order;
     # each resolution trades it for a meridian pair on the duals, whose
     # clasps join a fresh circle
-    for a, b in sorted(k for k in P.state.clasps
-                       if k[0] in long_ids and k[1] in long_ids):
+    for a, b in [k for k in P.state.clasps
+                 if k[0] in long_ids and k[1] in long_ids]:
         P.do("clasp_finger", a=a, b=b)
 
     # 2: per pair, balance meridian counts across the two sides, split down
@@ -192,7 +192,7 @@ def reduce_cycle_to_label(G, ctx, state, target):
     cs = state.circles
     if (not cs or any(c.kind != TYPE1 or len(state.linked_ids(c.id)) != 1
                       for c in cs)
-            or 2 * len(_walk(state, min(c.id for c in cs))) != len(cs)):
+            or 2 * len(_walk(state, cs[0].id)) != len(cs)):
         raise SimplifyError("the state is not one cycle of type I pairs, "
                             "each circle linking exactly one other")
     target = G.check(target)
@@ -200,7 +200,7 @@ def reduce_cycle_to_label(G, ctx, state, target):
     reach = _reach_fn(G)
     P = Recorder(G, ctx, state)
     while True:
-        ids = _walk(P.state, min(c.id for c in P.state.circles))
+        ids = _walk(P.state, P.state.circles[0].id)
         if len(ids) == 1:
             break
         for rot in range(len(ids)):
@@ -235,7 +235,7 @@ def _eliminate_clasps_framed(P):
     """Remove every clasp using a framed dual: two finger moves park the
     intersections on a fresh meridian pair, two surgeries delete it."""
     while P.state.clasps:
-        a, b = min(P.state.clasps)
+        a, b = P.state.clasps[0]
         info = P.do("clasp_finger", a=a, b=b)
         E, Ep = info["spawned"]
         dual_a = P.state.circle(a).partner if P.state.circle(a).kind == TYPE1 else a

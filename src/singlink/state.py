@@ -76,12 +76,25 @@ def pkey(a: str, b: str) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
+def _sorted_tw(tw) -> tuple:
+    return tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in tw))
+
+
 @dataclass(frozen=True)
 class LinkState:
-    circles: tuple = ()
+    """A state with its fields in canonical order, the order of its
+    canonical JSON: construction sorts them."""
+
+    circles: tuple = ()              # sorted by id
     clasps: tuple = ()               # sorted multiset of sorted pairs
-    tw: tuple = ()                   # ((a, b), bit) for equal-labeled type2 pairs
+    tw: tuple = ()                   # sorted ((a, b), bit), equal-labeled type2 pairs
     homology_tag: str | None = None
+
+    def __post_init__(self):
+        # `edited` builds its states in canonical order without this
+        object.__setattr__(self, "circles", tuple(sorted(self.circles, key=_ID)))
+        object.__setattr__(self, "clasps", tuple(sorted(pkey(*p) for p in self.clasps)))
+        object.__setattr__(self, "tw", _sorted_tw(self.tw))
 
     # -- index -------------------------------------------------------------
     # built on first use, or by `edited` from the parent's; the fields, and
@@ -107,11 +120,6 @@ class LinkState:
         an odd number of clasps."""
         return frozenset((a, b) for a, row in self._links.items()
                          for b, n in row.items() if n % 2 and a < b)
-
-    @cached_property
-    def _normal(self):
-        """Whether the fields are in the order ``normalized`` gives."""
-        return self.normalized() == self
 
     # -- access ------------------------------------------------------------
     def circle(self, cid: str) -> Circle:
@@ -150,16 +158,13 @@ class LinkState:
         return G.inv(self.circle(c.partner).label)
 
     def pairs(self):
-        """Type I dual pairs as (active, inactive) circle tuples, sorted by
-        active id."""
-        out = []
-        for c in self.circles:
-            if c.kind == TYPE1 and c.role == ACTIVE:
-                out.append((c, self.circle(c.partner)))
-        return sorted(out, key=lambda p: p[0].id)
+        """Type I dual pairs as (active, inactive) circle tuples, in order
+        of active id."""
+        return [(c, self.circle(c.partner)) for c in self.circles
+                if c.kind == TYPE1 and c.role == ACTIVE]
 
     def type2_circles(self):
-        return sorted((c for c in self.circles if c.kind == TYPE2), key=lambda c: c.id)
+        return [c for c in self.circles if c.kind == TYPE2]
 
     def clasp_count(self, a: str, b: str) -> int:
         return self._links.get(a, {}).get(b, 0)
@@ -178,32 +183,19 @@ class LinkState:
             n += 1
         return out
 
-    # -- construction helpers ---------------------------------------------
-    def normalized(self):
-        return LinkState(
-            circles=tuple(sorted(self.circles, key=lambda c: c.id)),
-            clasps=tuple(sorted(pkey(*p) for p in self.clasps)),
-            tw=tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in self.tw)),
-            homology_tag=self.homology_tag,
-        )
-
-    def canonical(self):
-        """The state with its fields in canonical order: itself when they
-        already are, as on every state a move builds."""
-        return self if self._normal else self.normalized()
-
+    # -- construction helper ----------------------------------------------
     def edited(self, removed=(), added=(), clasps=None, tw=None):
-        """The state in canonical order with the circles of ids ``removed``
-        taken out, the circles ``added`` put in (each replacing any circle
-        of its id), the clasp count of each pair in the dict ``clasps`` set
-        to its value, and, if ``tw`` is given, the twist entries ``tw``.
+        """The state with the circles of ids ``removed`` taken out, the
+        circles ``added`` put in (each replacing any circle of its id), the
+        clasp count of each pair in the dict ``clasps`` set to its value,
+        and, if ``tw`` is given, the twist entries ``tw``.
 
         The new fields are merged into the sorted old ones, and only the
         clasp-count rows of the touched circles are copied, so the cost
-        follows the edits more than the size of the state.
+        follows the edits more than the size of the state; the result is
+        in canonical order without being sorted again.
         """
-        old = self.canonical()
-        circles, by_id = list(old.circles), dict(old._by_id)
+        circles, by_id = list(self.circles), dict(self._by_id)
         for cid in removed:
             del by_id[cid]
             del circles[bisect_left(circles, cid, key=_ID)]
@@ -212,12 +204,12 @@ class LinkState:
                 del circles[bisect_left(circles, c.id, key=_ID)]
             insort(circles, c, key=_ID)
             by_id[c.id] = c
-        cl, links, lk = old.clasps, old._links, old.lk
+        cl, links, lk = self.clasps, self._links, self.lk
         if clasps:
             cl, flipped = list(cl), set()
             rows = {x: dict(links.get(x, ())) for k in clasps for x in k}
             for (a, b), n in clasps.items():
-                was = old.clasp_count(a, b)
+                was = self.clasp_count(a, b)
                 lo = bisect_left(cl, (a, b))
                 cl[lo:lo + was] = [(a, b)] * n
                 rows[a][b] = rows[b][a] = n
@@ -230,12 +222,11 @@ class LinkState:
                     links[x] = row
                 else:
                     links.pop(x, None)
-        if tw is not None:
-            tw = tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in tw))
-        new = LinkState(circles=tuple(circles), clasps=cl,
-                        tw=old.tw if tw is None else tw,
-                        homology_tag=old.homology_tag)
-        new.__dict__.update(_normal=True, _by_id=by_id, _links=links, lk=lk)
+        new = object.__new__(LinkState)
+        new.__dict__.update(circles=tuple(circles), clasps=cl,
+                            tw=self.tw if tw is None else _sorted_tw(tw),
+                            homology_tag=self.homology_tag,
+                            _by_id=by_id, _links=links, lk=lk)
         return new
 
 
@@ -295,14 +286,12 @@ def validate(G, ctx: Context, state: LinkState) -> ValidationReport:
     tw_keys = [p for p, _ in state.tw]
     if len(set(tw_keys)) != len(tw_keys):
         bad(("duplicate-tw-entries", tuple(sorted(set(k for k in tw_keys if tw_keys.count(k) > 1)))))
-    for (a, b), bit in sorted(state.tw):
+    for a, b in tw_keys:
         ca, cb = by_id.get(a), by_id.get(b)
         if ca is None or cb is None or ca.kind != TYPE2 or cb.kind != TYPE2 or a == b:
             bad(("bad-tw-domain", (a, b)))
         elif a in keys and b in keys and keys[a] != keys[b]:
             bad(("tw-label-mismatch", (a, b)))
-        if bit not in (0, 1):
-            bad(("bad-tw-value", (a, b)))
     # tw must be total on equal-labeled type II pairs
     t2 = list(keys.items())
     have = set(tw_keys)
@@ -345,10 +334,10 @@ def _circle_to_json(G, c: Circle) -> dict:
 
 def state_to_json(G, state: LinkState) -> dict:
     return {
-        "circles": [_circle_to_json(G, c) for c in sorted(state.circles, key=_ID)],
+        "circles": [_circle_to_json(G, c) for c in state.circles],
         "lk": sorted([list(p) for p in state.lk]),
-        "clasps": sorted([list(p) for p in state.clasps]),
-        "tw": sorted([[list(p), int(bit) & 1] for p, bit in state.tw]),
+        "clasps": [list(p) for p in state.clasps],
+        "tw": [[list(p), bit] for p, bit in state.tw],
         "homology_tag": state.homology_tag,
     }
 
@@ -373,8 +362,11 @@ def state_from_json(G, obj: dict) -> LinkState:
             or not all(type(a) is str and type(b) is str for a, b in pairs)):
         raise StateError("circle ids must be strings, and every clasp and "
                          "twist entry must name a pair of them")
+    tag = obj.get("homology_tag")
+    if tag is not None and type(tag) is not str:
+        raise StateError(f"homology_tag must be null or a string, got {tag!r}")
     state = LinkState(circles=tuple(circles), clasps=clasps, tw=tw,
-                      homology_tag=obj.get("homology_tag")).normalized()
+                      homology_tag=tag)
     lk = {pkey(*p) for p in obj.get("lk", [])}
     if lk != state.lk:
         raise StateError(
@@ -440,13 +432,13 @@ def state_hash(G, state: LinkState) -> str:
     got = state.__dict__.get("_hash")
     if got is not None and got[0] is G:
         return got[1]
-    circles = ",".join([c.json_text(G) for c in sorted(state.circles, key=_ID)])
-    clasps = _pairs_json(sorted(state.clasps))
+    circles = ",".join([c.json_text(G) for c in state.circles])
+    clasps = _pairs_json(state.clasps)
     # lk holds at most one pair per clasp; holding as many as there are
     # clasps, it is the set of clasps
     lk = clasps if len(state.lk) == len(state.clasps) else _pairs_json(sorted(state.lk))
-    tw = ",".join([f"[[{_json_str(a)},{_json_str(b)}],{bit}]" for (a, b), bit in
-                   sorted((p, int(bit) & 1) for p, bit in state.tw)])
+    tw = ",".join([f"[[{_json_str(a)},{_json_str(b)}],{bit}]"
+                   for (a, b), bit in state.tw])
     blob = (f'{{"circles":[{circles}],"clasps":[{clasps}],"homology_tag":'
             f'{_CANON.encode(state.homology_tag)},"lk":[{lk}],"tw":[{tw}]}}')
     digest = hashlib.sha256(blob.encode()).hexdigest()

@@ -25,7 +25,7 @@ def pair(cid, label=(0,)):
 
 def hopf(label=(1,)):
     return LinkState(circles=tuple(pair("h", label)),
-                     clasps=(("h", "hp"),)).normalized()
+                     clasps=(("h", "hp"),))
 
 
 def type2s(G, labels, tw_value=0):
@@ -33,7 +33,7 @@ def type2s(G, labels, tw_value=0):
           for i, g in enumerate(labels)]
     tw = [(pkey(a.id, b.id), tw_value)
           for i, a in enumerate(cs) for b in cs[i + 1:]]
-    return LinkState(circles=tuple(cs), tw=tuple(tw)).normalized()
+    return LinkState(circles=tuple(cs), tw=tuple(tw))
 
 
 class TestMu:
@@ -66,7 +66,7 @@ class TestDelta:
         assert delta(Z, Context(), hopf((2,))).tolist() == [0]
 
     def test_unlinked_active_invisible(self):
-        st = LinkState(circles=tuple(pair("a", (1,)))).normalized()
+        st = LinkState(circles=tuple(pair("a", (1,))))
         assert delta(Z, Context(), st).tolist() == [0]
 
     def test_twisted_equal_type2_pair_contributes(self):

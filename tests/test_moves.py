@@ -36,7 +36,7 @@ def pair(cid, label=(0,)):
 
 def state_of(circles, lk=(), clasps=(), tw=()):
     st = LinkState(circles=tuple(circles), clasps=tuple(clasps),
-                   tw=tuple(tw)).normalized()
+                   tw=tuple(tw))
     # the linking the test expects is the one read off the clasps
     assert st.lk == {pkey(*p) for p in lk}
     return st

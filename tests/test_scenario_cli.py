@@ -132,6 +132,10 @@ def _drop_label(obj):
     del obj["state"]["circles"][0]["label"]
 
 
+def _drop_version(obj):
+    del obj["schema_version"]
+
+
 MALFORMED = {
     "scenario-not-object": ("b3s1-odd", lambda obj: [obj]),
     "state-not-object": ("b3s1-odd", _set(["state"], ["h0", "h1"])),
@@ -164,6 +168,12 @@ MALFORMED = {
     "schema-bool": ("b3s1-odd", _set(["schema_version"], True)),
     "schema-string": ("b3s1-odd", _set(["schema_version"], "1")),
     "schema-float": ("b3s1-odd", _set(["schema_version"], 1.9)),
+    "homology_tag-list": ("b3s1-odd", _set(["state", "homology_tag"], [1])),
+    "trace-schema-word": ("trace", _set(["schema_version"], "banana")),
+    "trace-schema-7": ("trace", _set(["schema_version"], 7)),
+    "trace-schema-bool": ("trace", _set(["schema_version"], True)),
+    "trace-schema-string": ("trace", _set(["schema_version"], "1")),
+    "trace-schema-missing": ("trace", _drop_version),
 }
 
 
@@ -202,14 +212,26 @@ MALFORMED = {
     ("schema-bool", "validate", "ScenarioError"),
     ("schema-string", "decide", "ScenarioError"),
     ("schema-float", "validate", "ScenarioError"),
+    ("homology_tag-list", "decide", "ScenarioError"),
+    ("trace-schema-word", "apply", "ScenarioError"),
+    ("trace-schema-7", "apply", "ScenarioError"),
+    ("trace-schema-bool", "apply", "ScenarioError"),
+    ("trace-schema-string", "apply", "ScenarioError"),
+    ("trace-schema-missing", "apply", "ScenarioError"),
 ])
 def test_malformed_scenario_exits_one(capsys, tmp_path, case, command, want):
     name, mutate = MALFORMED[case]
-    obj = json.loads((SCENARIOS / f"{name}.json").read_text())
-    obj = mutate(obj) or obj
     f = tmp_path / "bad.json"
+    if name == "trace":
+        # a trace file, replayed by `apply --script` on a valid scenario
+        obj = {"schema_version": 1, "script": []}
+        argv = [command, path("b3s1-odd"), "--script", str(f)]
+    else:
+        obj = json.loads((SCENARIOS / f"{name}.json").read_text())
+        argv = [command, str(f)]
+    obj = mutate(obj) or obj
     f.write_text(json.dumps(obj))
-    code = cli.main(["--format", "machine", command, str(f)])
+    code = cli.main(["--format", "machine", *argv])
     cap = capsys.readouterr()
     # an error object on stderr, or the violations of `validate` on stdout
     payload = json.loads((cap.err or cap.out).strip().splitlines()[-1])
@@ -222,5 +244,6 @@ def test_trace_json_round_trip():
     v = decide(sc.G, sc.ctx, sc.state)
     obj = trace_to_json(v.trace)
     script = script_from_json(obj)
+    assert script_from_json(obj["script"]) == script    # a bare list loads too
     final, _ = apply_script(sc.G, sc.ctx, sc.state, script)
     assert state_hash(sc.G, final) == state_hash(sc.G, v.final_state)

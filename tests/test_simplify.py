@@ -41,7 +41,7 @@ def pair(cid, label=(0,)):
 
 def hopf(label=(1,)):
     return LinkState(circles=tuple(pair("h", label)),
-                     clasps=(("h", "hp"),)).normalized()
+                     clasps=(("h", "hp"),))
 
 
 def type2_state(G, labels, tw=None):
@@ -52,7 +52,7 @@ def type2_state(G, labels, tw=None):
         for b in cs[i + 1:]:
             key = pkey(a.id, b.id)
             table.append((key, 0 if tw is None else tw[(a.id, b.id)]))
-    return LinkState(circles=tuple(cs), tw=tuple(table)).normalized()
+    return LinkState(circles=tuple(cs), tw=tuple(table))
 
 
 def cycle_state(G, labels):
@@ -62,7 +62,7 @@ def cycle_state(G, labels):
     for i, g in enumerate(labels):
         circles += pair(f"a{i}", G.check(g))
     clasps = tuple((f"a{i}", f"a{(i + 1) % m}p") for i in range(m))
-    return LinkState(circles=tuple(circles), clasps=clasps).normalized()
+    return LinkState(circles=tuple(circles), clasps=clasps)
 
 
 class TestEliminateTypeII:
@@ -85,7 +85,7 @@ class TestEliminateTypeII:
 
     def test_rejects_linked_type2(self):
         cs = (Circle("s", TYPE2, "s", None, (0,)),) + tuple(pair("e"))
-        st = LinkState(circles=cs, clasps=(("e", "s"),)).normalized()
+        st = LinkState(circles=cs, clasps=(("e", "s"),))
         with pytest.raises(SimplifyError):
             eliminate_type_II(Z, FRAMED, st)
 
@@ -263,7 +263,7 @@ class TestDecide:
                                                  ("s1", "s2"): 0})
             st = LinkState(circles=tuple(pair("h", (1,))) + t2.circles,
                            clasps=(("h", "hp"), ("h", "s0")),
-                           tw=t2.tw).normalized()
+                           tw=t2.tw)
         refs = []
         for name, fn in list(moves.MOVES.items()):
             def kept(*args, fn=fn, **kwargs):

@@ -31,7 +31,7 @@ def pair(cid, label=(0,)):
 
 def hopf(label=(1,)):
     return LinkState(circles=tuple(pair("h", label)),
-                     clasps=(("h", "hp"),)).normalized()
+                     clasps=(("h", "hp"),))
 
 
 def test_valid_hopf():
@@ -53,7 +53,7 @@ def test_clasp_linking_congruence():
         state_from_json(Z, obj)
     # two clasps and linking 0 is fine
     st2 = LinkState(circles=tuple(pair("a") + pair("b")),
-                    clasps=(("a", "b"), ("a", "b"))).normalized()
+                    clasps=(("a", "b"), ("a", "b")))
     assert st2.linking("a", "b") == 0
     assert validate(Z, CTX, st2).ok
     assert state_from_json(Z, state_to_json(Z, st2)) == st2
@@ -91,7 +91,7 @@ def test_missing_twist_entry():
 def test_dual_parity_checked_under_schar():
     ctx = Context(s_characteristic=True, dual_sphere="unframed")
     st = LinkState(circles=tuple(pair("a") + pair("b")),
-                   clasps=(("a", "b"),)).normalized()
+                   clasps=(("a", "b"),))
     rep = validate(Z, ctx, st)
     assert any(v[0] == "dual-parity" for v in rep.violations)
     assert validate(Z, CTX, st).ok  # no dual sphere, no parity constraint
@@ -184,7 +184,7 @@ def test_shorten_cycle_mixed_roles(G, label):
 def test_shorten_cycle_keeps_its_checks():
     st = cycle_state(Z, [(1,), (2,), (3,)])
     st = LinkState(circles=st.circles + (Circle("s", TYPE2, "s", None, (0,)),),
-                   clasps=st.clasps).normalized()
+                   clasps=st.clasps)
     for actives, why in ((["a0", "s"], "not a type I"),
                          (["a0", "a1", "a1"], "repeat"),
                          (["a0", "a2", "a1"], "does not link"),
@@ -214,7 +214,7 @@ def assert_indexes_rebuilt(st):
     # state rebuilt from its fields computes, and answers every query alike
     rebuilt = LinkState(circles=st.circles, clasps=st.clasps, tw=st.tw,
                         homology_tag=st.homology_tag)
-    assert st == rebuilt.normalized()
+    assert st == rebuilt
     for name in INDEXES:
         assert getattr(st, name) == getattr(rebuilt, name), name
     ids = [c.id for c in st.circles]
@@ -231,7 +231,7 @@ def test_even_multiplicities_and_self_clasps():
     # "s" is clasped twice to "a" and its dual is split, so surgery on it
     # removes a circle with an even clasp count
     st = LinkState(circles=tuple(pair("a") + pair("b") + pair("s")),
-                   clasps=(("a", "s"), ("a", "s"))).normalized()
+                   clasps=(("a", "s"), ("a", "s")))
     ctx = Context(dual_sphere="unframed")
 
     def step(st, move, **params):
@@ -302,14 +302,33 @@ def test_hash_escapes_ids_and_tag():
     tw = [(pkey(a.id, b.id), 1) for i, a in enumerate(t2) for b in t2[i + 1:]]
     for tag in (None, 'tag "é☃\\'):
         st = LinkState(circles=tuple(circles + t2), clasps=tuple(clasps),
-                       tw=tuple(tw), homology_tag=tag).normalized()
+                       tw=tuple(tw), homology_tag=tag)
         assert validate(Z, CTX, st).ok
         assert state_hash(Z, st) == reference_hash(Z, st)
-        # unnormalized fields hash as the reference serializes them
+        # fields given out of order build the same state
         raw = LinkState(circles=tuple(reversed(st.circles)),
                         clasps=tuple((b, a) for a, b in st.clasps),
                         tw=tuple(reversed(st.tw)), homology_tag=tag)
-        assert state_hash(Z, raw) == reference_hash(Z, raw)
+        assert raw == st and state_hash(Z, raw) == state_hash(Z, st)
+
+
+def test_construction_is_canonical():
+    # circles sorted by id, clasps and twist entries as sorted pairs, sorted
+    t2 = [Circle(x, TYPE2, x, None, (0,)) for x in "stu"]
+    circles = pair("a") + pair("b") + pair("c") + t2
+    clasps = [("a", "bp"), ("a", "bp"), ("a", "cp"), ("b", "c"), ("s", "t")]
+    tw = [(("s", "t"), 1), (("s", "u"), 0), (("t", "u"), 1)]
+    ordered = LinkState(circles=tuple(circles), clasps=tuple(clasps),
+                        tw=tuple(tw))
+    assert (ordered.circles, ordered.clasps, ordered.tw) == (
+        tuple(circles), tuple(clasps), tuple(tw))
+    shuffled = LinkState(circles=tuple(reversed(circles)),
+                         clasps=tuple((b, a) for a, b in reversed(clasps)),
+                         tw=tuple(((b, a), bit) for (a, b), bit in reversed(tw)))
+    assert shuffled == ordered
+    assert state_hash(Z, shuffled) == state_hash(Z, ordered)
+    assert [a.id for a, _ in shuffled.pairs()] == ["a", "b", "c"]
+    assert [c.id for c in shuffled.type2_circles()] == ["s", "t", "u"]
 
 
 def test_circle_text_follows_the_group():
