@@ -34,8 +34,28 @@ def _write_trace(args, trace):
             json.dump(scenario.trace_to_json(trace), fh, indent=2, sort_keys=True)
 
 
+# a violation of a check that the group or the invariants own is raised as
+# the error that layer raises, any other as a StateError
+_LAYER_ERRORS = {"bad-label": GroupError, "mu-pi3-dim": invariants.InvariantError,
+                 "delta-self-dim": invariants.InvariantError}
+
+
 def _load(args):
     return scenario.load_scenario(args.scenario)
+
+
+def _load_valid(args):
+    """The scenario, for a command that moves its state: the moves and the
+    pipelines assume a valid state, so a state with violations stops here,
+    with an error that lists them."""
+    sc = _load(args)
+    bad = [list(map(str, v)) for v in validate(sc.G, sc.ctx, sc.state).violations]
+    if bad:
+        err = _LAYER_ERRORS.get(bad[0][0], StateError)(
+            "the scenario is invalid: " + ", ".join(" ".join(v) for v in bad))
+        err.violations = bad
+        raise err
+    return sc
 
 
 def cmd_validate(args):
@@ -71,7 +91,7 @@ def cmd_invariants(args):
 
 
 def cmd_apply(args):
-    sc = _load(args)
+    sc = _load_valid(args)
     script = scenario.load_script(args.script) if args.script else sc.script
     final, trace = moves.apply_script(sc.G, sc.ctx, sc.state, script)
     _write_trace(args, trace)
@@ -86,7 +106,7 @@ def cmd_apply(args):
 
 
 def cmd_simplify(args):
-    sc = _load(args)
+    sc = _load_valid(args)
     st, trace = simplify.eliminate_type_II(sc.G, sc.ctx, sc.state)
     st, tr2, label = simplify.reduce_to_hopf(sc.G, sc.ctx, st)
     trace = trace + tr2
@@ -103,7 +123,7 @@ def cmd_simplify(args):
 
 
 def cmd_decide(args):
-    sc = _load(args)
+    sc = _load_valid(args)
     verdict = simplify.decide(sc.G, sc.ctx, sc.state)
     _write_trace(args, verdict.trace)
     human = [f"verdict: {verdict.outcome}"]
@@ -198,8 +218,10 @@ def main(argv=None):
         return args.fn(args)
     except (scenario.ScenarioError, simplify.SimplifyError, moves.MoveError,
             invariants.InvariantError, StateError, GroupError, OSError) as err:
-        print(json.dumps({"error": type(err).__name__, "message": str(err)}),
-              file=sys.stderr)
+        payload = {"error": type(err).__name__, "message": str(err)}
+        if hasattr(err, "violations"):
+            payload["violations"] = err.violations
+        print(json.dumps(payload), file=sys.stderr)
         return EXIT_ERROR
 
 

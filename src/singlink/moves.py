@@ -477,23 +477,23 @@ def _move_meridian(G, ctx, state, a, e):
 
 
 def _shorten_cycle(G, ctx, state, actives):
-    """Merge the first two pairs of a cycle whose entries each link the
-    next entry's dual.  An entry may have either role, as labels are read
-    with ``state.read``; ``actives`` keeps its name so recorded scripts
-    still decode."""
+    """Merge the first two listed pairs of a cycle, where each listed entry
+    links the next entry's dual.  Only the first two entries are read, and
+    the primitives check their own preconditions, so a driver lists two;
+    a recorded script that lists the whole cycle still replays.  An entry
+    may have either role, as labels are read with ``state.read``;
+    ``actives`` keeps its name so recorded scripts still decode."""
     if not isinstance(actives, (list, tuple)) or len(actives) < 2:
         raise MoveError("a cycle to shorten lists at least two circles")
-    m = len(actives)
     if ctx.dual_sphere != "unframed":
         raise MoveError("cycle shortening needs an unframed dual sphere")
     circles = [state.circle(x) for x in actives]
     for c in circles:
         if c.kind != TYPE1:
             raise MoveError(f"{c.id!r} is not a type I circle")
-    if len({c.id for c in circles}) != m:
+    if len({c.id for c in circles}) != len(circles):
         raise MoveError("cycle entries repeat a pair")
-    for i, c in enumerate(circles):
-        nxt = circles[(i + 1) % m]
+    for c, nxt in zip(circles, circles[1:]):
         if state.linking(c.id, nxt.partner) != 1:
             raise MoveError(f"{c.id!r} does not link the next dual circle")
     a1, a2 = circles[0], circles[1]
@@ -638,10 +638,12 @@ def decode_params(G, move, params):
 class Recorder:
     """Applies registry moves to a current state and records each one.
 
-    Appending a record resolves the one before it, so a trace holds on to
-    the states of its last record only; as a state's digest is kept on the
-    state, the pre-hash of a record costs nothing once the record before
-    it is resolved, and every state is hashed once.
+    Each move first resolves the record before it, so a trace holds on to
+    the states of its last record only.  As a state keeps its digest, the
+    pre-hash of a record costs nothing once the record before it is
+    resolved, and every state is hashed once; as a hashed state also keeps
+    its texts, and passes them to the states built from it, hashing a
+    post-state encodes only what the move added.
     """
 
     def __init__(self, G, ctx, state, trace=None):
@@ -653,9 +655,9 @@ class Recorder:
         """Apply one named move, record it, and return the move's info."""
         if move not in MOVES:
             raise MoveError(f"unknown move {move!r}")
-        post, info = MOVES[move](self.G, self.ctx, self.state, **params)
         if self.trace:
             self.trace[-1].hashes()
+        post, info = MOVES[move](self.G, self.ctx, self.state, **params)
         self.trace.append(MoveRecord(
             self.G, move, encode_params(self.G, move, params), self.state, post,
             tuple((n, encode_params(self.G, n, p))

@@ -48,8 +48,10 @@ def scenario_from_json(obj: dict) -> Scenario:
     script = obj.get("script", [])
     if not isinstance(script, list):
         raise ScenarioError("script must be a list of move entries")
-    return Scenario(G=G, ctx=ctx, state=state, script=script,
-                    name=obj.get("name", ""))
+    name = obj.get("name", "")
+    if type(name) is not str:
+        raise ScenarioError(f"the scenario name must be a string, got {name!r}")
+    return Scenario(G=G, ctx=ctx, state=state, script=script, name=name)
 
 
 def scenario_to_json(sc: Scenario) -> dict:

@@ -127,14 +127,17 @@ def reduce_to_hopf(G, ctx, state):
         else:
             break
 
-    # 3: the linking relation is now a perfect matching; walk each cycle of
-    # (link, duality) edges and shorten it until only length-1 cycles
-    # (split Hopf pairs) remain.  Entries of either role shorten alike, so
-    # each step is one move and the trace stays linear in the cycle length
+    # 3: the linking relation is now a perfect matching; shorten each cycle
+    # of (link, duality) edges until only length-1 cycles (split Hopf
+    # pairs) remain.  Entries of either role shorten alike, so each step is
+    # one move naming two entries, and the trace stays linear in the cycle
+    # length
     while True:
         for act, inact in P.state.pairs():
-            if P.state.linked_ids(act.id)[0] != inact.id:
-                P.do("shorten_cycle", actives=_walk(P.state, act.id))
+            nxt = P.state.linked_ids(act.id)[0]
+            if nxt != inact.id:
+                P.do("shorten_cycle",
+                     actives=[act.id, P.state.circle(nxt).partner])
                 break
         else:
             break
@@ -210,7 +213,7 @@ def reduce_cycle_to_label(G, ctx, state, target):
                 break
         else:
             raise SimplifyError("target label is not realizable from this cycle")
-        P.do("shorten_cycle", actives=pres)
+        P.do("shorten_cycle", actives=pres[:2])
     act = P.state.pairs()[0][0]
     if G.element_key(act.label) != tk:
         if G.element_key(G.inv(act.label)) != tk:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -193,25 +193,44 @@ class LinkState:
         The new fields are merged into the sorted old ones, and only the
         clasp-count rows of the touched circles are copied, so the cost
         follows the edits more than the size of the state; the result is
-        in canonical order without being sorted again.
+        in canonical order without being sorted again.  A state that keeps
+        the texts of its circles and clasps (see `state_hash`) passes them
+        on, edited at the same slots, so hashing the result encodes only
+        the added circles and clasps.
         """
+        texts = self.__dict__.get("_texts")
+        if texts is not None:
+            G, ct, clt = texts[0], list(texts[1]), texts[2]
         circles, by_id = list(self.circles), dict(self._by_id)
         for cid in removed:
             del by_id[cid]
-            del circles[bisect_left(circles, cid, key=_ID)]
+            i = bisect_left(circles, cid, key=_ID)
+            del circles[i]
+            if texts is not None:
+                del ct[i]
         for c in added:
             if c.id in by_id:
-                del circles[bisect_left(circles, c.id, key=_ID)]
-            insort(circles, c, key=_ID)
+                i = bisect_left(circles, c.id, key=_ID)
+                del circles[i]
+                if texts is not None:
+                    del ct[i]
+            i = bisect_right(circles, c.id, key=_ID)
+            circles.insert(i, c)
+            if texts is not None:
+                ct.insert(i, c.json_text(G))
             by_id[c.id] = c
         cl, links, lk = self.clasps, self._links, self.lk
         if clasps:
             cl, flipped = list(cl), set()
+            if texts is not None:
+                clt = list(clt)
             rows = {x: dict(links.get(x, ())) for k in clasps for x in k}
             for (a, b), n in clasps.items():
                 was = self.clasp_count(a, b)
                 lo = bisect_left(cl, (a, b))
                 cl[lo:lo + was] = [(a, b)] * n
+                if texts is not None:
+                    clt[lo:lo + was] = [_pair_json(a, b)] * n
                 rows[a][b] = rows[b][a] = n
                 if (n - was) % 2 and a != b:
                     flipped.add((a, b))
@@ -227,6 +246,8 @@ class LinkState:
                             tw=self.tw if tw is None else _sorted_tw(tw),
                             homology_tag=self.homology_tag,
                             _by_id=by_id, _links=links, lk=lk)
+        if texts is not None:
+            new.__dict__["_texts"] = (G, ct, clt)
         return new
 
 
@@ -407,33 +428,46 @@ def context_from_json(obj: dict) -> Context:
     if dual not in (None, "framed", "unframed"):
         raise StateError(
             f"context 'dual_sphere' must be null, framed or unframed, got {dual!r}")
+    note = obj.get("boundary_note", "")
+    if type(note) is not str:
+        raise StateError(f"context 'boundary_note' must be a string, got {note!r}")
     return Context(
         s_characteristic=_context_flag(obj, "s_characteristic", False),
         dual_sphere=dual,
         based=_context_flag(obj, "based", True),
         mu_pi3=_context_rows(obj, "mu_pi3"),
         delta_self=_context_rows(obj, "delta_self"),
-        boundary_note=obj.get("boundary_note", ""),
+        boundary_note=note,
     )
 
 
+def _pair_json(a: str, b: str) -> str:
+    return f"[{_json_str(a)},{_json_str(b)}]"
+
+
 def _pairs_json(pairs) -> str:
-    return ",".join([f"[{_json_str(a)},{_json_str(b)}]" for a, b in pairs])
+    return ",".join([_pair_json(a, b) for a, b in pairs])
 
 
 def state_hash(G, state: LinkState) -> str:
     """sha256 of the canonical JSON of the state, the text of
     ``json.dumps(state_to_json(G, state), sort_keys=True,
-    separators=(",", ":"))``, joined from the circles' cached texts.
+    separators=(",", ":"))``, joined from kept texts.
 
-    The digest is kept on the state together with the group it was
-    computed under, as ``Circle.json_text`` keeps its text, so a state is
-    hashed once under one group."""
+    On its first hash under a group, a state keeps the texts of its
+    circles and clasps under that group, in the order of its fields, and
+    `LinkState.edited` carries them into the states built from it.  The
+    digest is kept on the state with its group too, so a state is hashed
+    once under one group; under another group both are computed again."""
     got = state.__dict__.get("_hash")
     if got is not None and got[0] is G:
         return got[1]
-    circles = ",".join([c.json_text(G) for c in state.circles])
-    clasps = _pairs_json(state.clasps)
+    texts = state.__dict__.get("_texts")
+    if texts is None or texts[0] is not G:
+        texts = state.__dict__["_texts"] = (
+            G, [c.json_text(G) for c in state.circles],
+            [_pair_json(a, b) for a, b in state.clasps])
+    circles, clasps = ",".join(texts[1]), ",".join(texts[2])
     # lk holds at most one pair per clasp; holding as many as there are
     # clasps, it is the set of clasps
     lk = clasps if len(state.lk) == len(state.clasps) else _pairs_json(sorted(state.lk))

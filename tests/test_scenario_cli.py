@@ -13,6 +13,7 @@ from singlink.simplify import decide
 from singlink.state import state_hash
 
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def path(name):
@@ -136,6 +137,14 @@ def _drop_version(obj):
     del obj["schema_version"]
 
 
+def _duplicate_h0(obj):
+    # a second circle h0, and a script that moves it: every command that
+    # moves the state refuses it before the first move
+    circles = obj["state"]["circles"]
+    circles.append({**circles[0], "label": [5]})
+    obj["script"] = [{"move": "finger_move", "params": {"a": "h0", "b": "h0"}}]
+
+
 MALFORMED = {
     "scenario-not-object": ("b3s1-odd", lambda obj: [obj]),
     "state-not-object": ("b3s1-odd", _set(["state"], ["h0", "h1"])),
@@ -169,6 +178,9 @@ MALFORMED = {
     "schema-string": ("b3s1-odd", _set(["schema_version"], "1")),
     "schema-float": ("b3s1-odd", _set(["schema_version"], 1.9)),
     "homology_tag-list": ("b3s1-odd", _set(["state", "homology_tag"], [1])),
+    "duplicate-id": ("b3s1-odd", _duplicate_h0),
+    "name-list": ("b3s1-odd", _set(["name"], [1])),
+    "boundary_note-list": ("b3s1-odd", _set(["context", "boundary_note"], [1])),
     "trace-schema-word": ("trace", _set(["schema_version"], "banana")),
     "trace-schema-7": ("trace", _set(["schema_version"], 7)),
     "trace-schema-bool": ("trace", _set(["schema_version"], True)),
@@ -213,6 +225,14 @@ MALFORMED = {
     ("schema-string", "decide", "ScenarioError"),
     ("schema-float", "validate", "ScenarioError"),
     ("homology_tag-list", "decide", "ScenarioError"),
+    ("duplicate-id", "validate", "duplicate-ids"),
+    ("duplicate-id", "apply", "duplicate-ids"),
+    ("duplicate-id", "decide", "duplicate-ids"),
+    ("duplicate-id", "simplify", "duplicate-ids"),
+    ("name-list", "decide", "ScenarioError"),
+    ("name-list", "validate", "ScenarioError"),
+    ("boundary_note-list", "decide", "ScenarioError"),
+    ("boundary_note-list", "validate", "ScenarioError"),
     ("trace-schema-word", "apply", "ScenarioError"),
     ("trace-schema-7", "apply", "ScenarioError"),
     ("trace-schema-bool", "apply", "ScenarioError"),
@@ -247,3 +267,27 @@ def test_trace_json_round_trip():
     assert script_from_json(obj["script"]) == script    # a bare list loads too
     final, _ = apply_script(sc.G, sc.ctx, sc.state, script)
     assert state_hash(sc.G, final) == state_hash(sc.G, v.final_state)
+
+
+def test_full_cycle_trace_still_replays(capsys, tmp_path):
+    # cycle-n8-trace.json was written by `decide --trace-out` when a
+    # shortening listed its whole cycle: `apply --script` replays it with
+    # every hash checked, and decide now records the same moves and hashes
+    # with the first two entries of each cycle only
+    sc, old_file = FIXTURES / "cycle-n8.json", FIXTURES / "cycle-n8-trace.json"
+    old = json.loads(old_file.read_text())
+    assert max(len(e["params"]["actives"]) for e in old["script"]
+               if e["move"] == "shorten_cycle") > 2
+    code, payload, _ = run(capsys, "--format", "machine", "apply", str(sc),
+                           "--script", str(old_file))
+    assert code == 0 and payload["moves"] == len(old["script"])
+    assert payload["final_hash"] == old["script"][-1]["post_hash"]
+
+    new_file = tmp_path / "trace.json"
+    code, payload, _ = run(capsys, "--format", "machine", "--trace-out",
+                           str(new_file), "decide", str(sc))
+    assert code == 0 and payload["final_hash"] == old["script"][-1]["post_hash"]
+    for e in old["script"]:
+        if e["move"] == "shorten_cycle":
+            e["params"]["actives"] = e["params"]["actives"][:2]
+    assert json.loads(new_file.read_text()) == old

@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 import weakref
 from pathlib import Path
@@ -11,7 +12,7 @@ from singlink.groups import AbelianGroup, FiniteGroup
 from singlink.invariants import delta, mu
 from singlink.moves import apply_script
 from singlink.randwalk import q8_table, seed_state
-from singlink.scenario import load_scenario
+from singlink.scenario import load_scenario, trace_to_json
 from singlink.simplify import (
     SimplifyError, decide, eliminate_type_II, reduce_cycle_to_label,
     reduce_to_hopf,
@@ -291,3 +292,29 @@ class TestDecide:
         st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
         v = decide(Z, SCHAR, st)
         assert len(calls) <= 4 * len(v.trace)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_cycle_moves_join_kept_circle_texts(self, n, monkeypatch):
+        # a state passes its circle and clasp texts on to the states built
+        # from it, so hashing a post-state asks for the text of the circles
+        # the move added only, not of every circle
+        calls, real = [], Circle.json_text
+        monkeypatch.setattr(Circle, "json_text",
+                            lambda c, G: calls.append(c.id) or real(c, G))
+        rng = random.Random(f"ladder-1-{n}")
+        st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+        v = decide(Z, SCHAR, st)
+        assert v.outcome == "Concordant"
+        assert len(calls) <= 6 * len(v.trace)
+
+    def test_cycle_trace_bytes_are_linear(self):
+        # a shortening names two entries of its cycle, not the whole cycle,
+        # so the trace file costs the same per recorded move at every n
+        def bytes_per_move(n):
+            rng = random.Random(f"ladder-1-{n}")
+            st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+            v = decide(Z, SCHAR, st)
+            text = json.dumps(trace_to_json(v.trace), indent=2, sort_keys=True)
+            return len(text) / len(v.trace)
+
+        assert bytes_per_move(128) <= 1.25 * bytes_per_move(32)

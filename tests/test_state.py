@@ -193,6 +193,20 @@ def test_shorten_cycle_keeps_its_checks():
             MOVES["shorten_cycle"](Z, SCHAR, st, actives=actives)
 
 
+def test_shorten_cycle_reads_two_entries():
+    # each listed entry links the next one's dual, with no wrap-around: the
+    # first two entries of the cycle give the post-state of the whole cycle
+    st = cycle_state(Z, [(1,), (2,), (3,)])
+    full, _ = MOVES["shorten_cycle"](Z, SCHAR, st, actives=["a0", "a1", "a2"])
+    post, _ = MOVES["shorten_cycle"](Z, SCHAR, st, actives=["a0", "a1"])
+    assert post == full
+    assert state_hash(Z, post) == (
+        "60a78f113ad64c3f754f184403e7e4f586838fb205e78e37a1f2038815c3832f")
+    # a1 links the dual of a2, not of a0
+    with pytest.raises(MoveError, match="does not link"):
+        MOVES["shorten_cycle"](Z, SCHAR, st, actives=["a1", "a0"])
+
+
 def test_missing_twist_lookup_raises():
     st = hopf()
     with pytest.raises(StateError):
@@ -344,6 +358,21 @@ def test_circle_text_follows_the_group():
         assert state_hash(G, s) == reference_hash(G, s)
         hashes.append(state_hash(G, s))
     assert len(set(hashes)) == 3
+
+
+def test_kept_texts_follow_the_group():
+    # `edited` passes on the texts kept under the group the parent was
+    # hashed under; hashed under another group, the child encodes afresh
+    st = LinkState(circles=tuple(pair("a", (4,)) + pair("b", (2,))),
+                   clasps=(("a", "bp"), ("b", "ap")))
+    Z3, Z5 = AbelianGroup(0, (3,)), AbelianGroup(0, (5,))
+    state_hash(Z3, st)
+    child = st.edited(removed=("b", "bp"), added=pair("c", (1,)),
+                      clasps={("a", "bp"): 0, ("b", "ap"): 0,
+                              ("a", "cp"): 1, ("ap", "c"): 2})
+    assert child.__dict__["_texts"][0] is Z3
+    for G in (Z3, Z5, Z3):
+        assert state_hash(G, child) == reference_hash(G, child)
 
 
 def test_hash_memo_follows_the_group(monkeypatch):
