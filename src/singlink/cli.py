@@ -45,9 +45,9 @@ def _load(args):
 
 
 def _load_valid(args):
-    """The scenario, for a command that moves its state: the moves and the
-    pipelines assume a valid state, so a state with violations stops here,
-    with an error that lists them."""
+    """The scenario, for a command that reads or moves its state: the
+    invariants, the moves and the pipelines assume a valid state, so a
+    state with violations stops here, with an error that lists them."""
     sc = _load(args)
     bad = [list(map(str, v)) for v in validate(sc.G, sc.ctx, sc.state).violations]
     if bad:
@@ -71,7 +71,7 @@ def cmd_validate(args):
 
 
 def cmd_invariants(args):
-    sc = _load(args)
+    sc = _load_valid(args)
     rep = invariants.invariant_report(sc.G, sc.ctx, sc.state)
     human = [
         f"mu    = {list(rep.mu)}",
@@ -163,7 +163,7 @@ def cmd_sweep(args):
 
 
 def cmd_bound(args):
-    sc = _load(args)
+    sc = _load_valid(args)
     b = invariants.concordance_bound(sc.G, sc.ctx)
     _emit(args, [f"bound: {b}"], {"command": "bound", "bound": b})
     return EXIT_OK

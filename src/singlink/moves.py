@@ -38,10 +38,6 @@ def _eps0(G, g) -> bool:
     return not np.any(G.eps(g))
 
 
-def _dual_id(c: Circle) -> str:
-    return c.id if c.kind == TYPE2 else c.partner
-
-
 class _B:
     """The edits a move makes to a state, for building the post-state:
     removed circle ids, added circles, the new clasp counts of the touched
@@ -90,10 +86,6 @@ class _B:
                                 self.counts, self.tw.items())
 
 
-def _fully_split(state: LinkState, cid: str) -> bool:
-    return not state.clasps_at(cid)
-
-
 def _type2_guard(G, state: LinkState, a: str, b: str):
     """Crossing-change moves may touch type II circles only when the twist
     data provably cannot drift (tw transport is not modeled in general)."""
@@ -125,8 +117,9 @@ def _cross(G, ctx, state, a, b, remove_clasp):
     e = G.mul(state.read(G, a), G.inv(state.read(G, b)))
     E, Ep = state.fresh_ids(2, "e")
     bld.add_pair(E, Ep, e)
-    bld.link_with_clasp(E, _dual_id(ca))
-    bld.link_with_clasp(Ep, _dual_id(cb))
+    # a type II circle is its own partner
+    bld.link_with_clasp(E, ca.partner)
+    bld.link_with_clasp(Ep, cb.partner)
     return bld.state(), {"spawned": (E, Ep)}
 
 
@@ -168,7 +161,8 @@ def _flip_activity(G, ctx, state, a):
     inact = state.circle(act.partner)
     swap = (replace(act, role=INACTIVE, label=None),
             replace(inact, role=ACTIVE, label=G.inv(act.label)))
-    return state.edited(added=swap), {"active": inact.id}
+    return (state.edited(removed=(act.id, inact.id), added=swap),
+            {"active": inact.id})
 
 
 # -- whitney moves ---------------------------------------------------------
@@ -205,38 +199,6 @@ def _add_belts(G, bld, fresh_source, targets, n):
         bld.add_pair(B, Bp, G.identity)
         for t in targets:
             bld.link_with_clasp(B, t)
-
-
-def _pair_from_type2(G, ctx, state, a, b):
-    ca, cb = state.circle(a), state.circle(b)
-    if ca.kind != TYPE2 or cb.kind != TYPE2 or a == b:
-        raise MoveError("expected two distinct type II circles")
-    if G.element_key(ca.label) != G.element_key(cb.label):
-        raise MoveError("type II labels differ")
-    if not (_fully_split(state, a) and _fully_split(state, b)):
-        raise MoveError("type II circles must be split before pairing")
-    for c in state.type2_circles():
-        if c.id in (a, b):
-            continue
-        if G.element_key(c.label) == G.element_key(ca.label):
-            if state.twist(a, c.id) != state.twist(b, c.id):
-                raise MoveError(
-                    f"twist data with {c.id!r} differs between the two "
-                    "circles; transport not modeled")
-    t = state.twist(a, b)
-    bld = _B(state)
-    bld.remove_circle(a)
-    bld.remove_circle(b)
-    O, Op = state.fresh_ids(2, "w")
-    bld.add_pair(O, Op, ca.label)
-    if t:
-        bld.link_with_clasp(O, Op)
-    return bld, (O, Op)
-
-
-def _whitney_pair_typeII(G, ctx, state, a, b):
-    bld, (O, Op) = _pair_from_type2(G, ctx, state, a, b)
-    return bld.state(), {"outputs": (O, Op)}
 
 
 def _row_sum_excluding(state, cid, excluded):
@@ -359,9 +321,30 @@ def _whitney_move(G, ctx, state, spec):
             raise MoveError("type II pairing takes no split assignment")
         if spec.n % 2:
             raise MoveError("odd intersection count breaks the twist readout")
-        bld, (O, Op) = _pair_from_type2(G, ctx, state, spec.a, spec.b)
-        if spec.nu is not None and spec.nu != state.twist(spec.a, spec.b):
+        a, b = spec.a, spec.b
+        if a == b:
+            raise MoveError("expected two distinct type II circles")
+        key = G.element_key(ca.label)
+        if key != G.element_key(cb.label):
+            raise MoveError("type II labels differ")
+        if state.clasps_at(a) or state.clasps_at(b):
+            raise MoveError("type II circles must be split before pairing")
+        for c in state.type2_circles():
+            if (c.id not in (a, b) and G.element_key(c.label) == key
+                    and state.twist(a, c.id) != state.twist(b, c.id)):
+                raise MoveError(
+                    f"twist data with {c.id!r} differs between the two "
+                    "circles; transport not modeled")
+        t = state.twist(a, b)
+        if spec.nu is not None and spec.nu != t:
             raise MoveError("mutual-linking bit must equal the recorded twist")
+        bld = _B(state)
+        bld.remove_circle(a)
+        bld.remove_circle(b)
+        O, Op = state.fresh_ids(2, "w")
+        bld.add_pair(O, Op, ca.label)
+        if t:
+            bld.link_with_clasp(O, Op)
         _add_belts(G, bld, state, (O, Op), spec.n)
         return bld.state(), {"outputs": (O, Op)}
     if ca.kind != TYPE1 or cb.kind != TYPE1:
@@ -377,6 +360,15 @@ def _whitney_move(G, ctx, state, spec):
     return _whitney_merge(G, ctx, state, spec, ca, cb)
 
 
+def _whitney_pair_typeII(G, ctx, state, a, b):
+    """`whitney_move`'s pairing of two type II circles, with no belts.  It
+    calls the move function, not the registry entry, so a pairing is not
+    also counted as a `whitney_move`."""
+    if state.circle(a).kind != TYPE2 or state.circle(b).kind != TYPE2:
+        raise MoveError("expected two type II circles")
+    return _whitney_move(G, ctx, state, {"a": a, "b": b})
+
+
 # -- ambient surgery -------------------------------------------------------
 
 def _ambient_surgery(G, ctx, state, a):
@@ -386,7 +378,7 @@ def _ambient_surgery(G, ctx, state, a):
     if ctx.dual_sphere is None:
         raise MoveError("surgery needs a dual sphere in the ambient context")
     dual = state.circle(ca.partner)
-    if not _fully_split(state, dual.id):
+    if state.clasps_at(dual.id):
         raise MoveError(f"dual circle {dual.id!r} is not split")
     bld = _B(state)
     if ctx.dual_sphere == "unframed":
@@ -402,25 +394,29 @@ def _ambient_surgery(G, ctx, state, a):
 
 # -- hopf-pair primitives --------------------------------------------------
 
-def _split_hopf_pair(G, state, cid):
-    c = state.circle(cid)
-    if c.kind != TYPE1:
-        raise MoveError(f"{cid!r} is not a type I circle")
-    act = c if c.role == ACTIVE else state.circle(c.partner)
-    inact = state.circle(act.partner)
-    # linked to each other, with every clasp at either circle a mutual one
-    mutual = pkey(act.id, inact.id)
-    if (not state.linking(act.id, inact.id)
-            or any(k != mutual for x in mutual for k in state.clasps_at(x))):
-        raise MoveError(f"pair of {cid!r} is not a split Hopf pair")
-    return act, inact
+def _split_hopf_pairs(state, a, b):
+    """(active of a, inactive of a, active of b, inactive of b) for the
+    type I pairs of ``a`` and ``b``: two distinct split Hopf pairs."""
+    out = []
+    for cid in (a, b):
+        c = state.circle(cid)
+        if c.kind != TYPE1:
+            raise MoveError(f"{cid!r} is not a type I circle")
+        act = c if c.role == ACTIVE else state.circle(c.partner)
+        inact = state.circle(act.partner)
+        # linked to each other, with every clasp at either circle a mutual one
+        mutual = pkey(act.id, inact.id)
+        if (not state.linking(act.id, inact.id)
+                or any(k != mutual for x in mutual for k in state.clasps_at(x))):
+            raise MoveError(f"pair of {cid!r} is not a split Hopf pair")
+        out += [act, inact]
+    if out[0].id == out[2].id:
+        raise MoveError("expected two distinct pairs")
+    return out
 
 
 def _merge_hopf_pairs(G, ctx, state, a, b):
-    act_a, in_a = _split_hopf_pair(G, state, a)
-    act_b, in_b = _split_hopf_pair(G, state, b)
-    if {act_a.id, in_a.id} & {act_b.id, in_b.id}:
-        raise MoveError("expected two distinct pairs")
+    act_a, in_a, act_b, in_b = _split_hopf_pairs(state, a, b)
     label = G.mul(act_b.label, act_a.label)
     bld = _B(state)
     for cid in (act_a.id, in_a.id, act_b.id, in_b.id):
@@ -434,10 +430,7 @@ def _merge_hopf_pairs(G, ctx, state, a, b):
 def _remove_trivial_hopf_pairs(G, ctx, state, a, b):
     if ctx.dual_sphere is None:
         raise MoveError("removal needs a dual sphere in the ambient context")
-    act_a, in_a = _split_hopf_pair(G, state, a)
-    act_b, in_b = _split_hopf_pair(G, state, b)
-    if {act_a.id, in_a.id} & {act_b.id, in_b.id}:
-        raise MoveError("expected two distinct pairs")
+    act_a, in_a, act_b, in_b = _split_hopf_pairs(state, a, b)
     ik = G.element_key(G.identity)
     if G.element_key(act_a.label) != ik or G.element_key(act_b.label) != ik:
         raise MoveError("both pairs must carry the identity label")

@@ -134,16 +134,18 @@ def _candidate(G, ctx, state, rng, type2=True):
         return name, {"a": pick(t1)}
     if name == "add_hopf_pair":
         return name, {"g": random_element(G, rng)}
-    if name in ("merge_hopf_pairs", "remove_trivial_hopf_pairs"):
-        if len(t1) < 4:
-            return None
-        return name, {"a": pick(t1), "b": pick(t1)}
-    return None
+    # merge_hopf_pairs or remove_trivial_hopf_pairs
+    if len(t1) < 4:
+        return None
+    return name, {"a": pick(t1), "b": pick(t1)}
 
 
-def random_step(G, ctx, state, rng, attempts=12, type2=True):
+STEP_ATTEMPTS = 12           # candidates `random_step` draws before it gives up
+
+
+def random_step(G, ctx, state, rng, type2=True):
     """One applicable random move; returns (move, params, post) or None."""
-    for _ in range(attempts):
+    for _ in range(STEP_ATTEMPTS):
         cand = _candidate(G, ctx, state, rng, type2=type2)
         if cand is None:
             continue
@@ -189,11 +191,11 @@ def _invariants(G, ctx, state):
     return mu(G, state), delta(G, ctx, state) if ctx.s_characteristic else None
 
 
-def sweep(seed: int = 0, count: int = 1000, groups=None, steps=10) -> SweepReport:
+def sweep(seed: int = 0, count: int = 1000, steps=10) -> SweepReport:
     """Apply random moves to random reachable states until ``count`` post
     states were checked; record any invariance violation."""
     rng = np.random.default_rng(seed)
-    groups = groups or standard_groups()
+    groups = standard_groups()
     names = sorted(groups)
     rep = SweepReport(seed=seed)
     while rep.states < count:

@@ -8,12 +8,13 @@ the state by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .invariants import QuotientClass, delta, fq, km, mu, normalize_dual
 from .moves import MoveError, Recorder
-from .state import TYPE1, TYPE2, Context, LinkState, pkey
+from .state import TYPE1, Context, LinkState
 
 
 class SimplifyError(ValueError):
@@ -23,22 +24,24 @@ class SimplifyError(ValueError):
 # -- type II elimination ----------------------------------------------------
 
 def _pair_off(P, ids):
-    # try pairings in canonical order; twist compatibility can rule out a
-    # particular pairing, so backtrack on rejection
-    if not ids:
-        return True
-    a = ids[0]
-    for b in ids[1:]:
-        snap_state, snap_len = P.state, len(P.trace)
-        try:
-            P.do("whitney_pair_typeII", a=a, b=b)
-        except MoveError:
-            continue
-        if _pair_off(P, [x for x in ids if x not in (a, b)]):
-            return True
-        P.state = snap_state
-        del P.trace[snap_len:]
-    return False
+    """Cancel the same-label circles ``ids``, each time by the first pair
+    the move accepts; False when none is accepted before all are gone."""
+    # two such circles pair exactly when their twists with every other one
+    # agree: an equivalence that survives the removal of circles, so
+    # cancelling an accepted pair never rules out a pairing of the rest
+    ids = list(ids)
+    while ids:
+        for a, b in combinations(ids, 2):
+            try:
+                P.do("whitney_pair_typeII", a=a, b=b)
+            except MoveError:
+                continue
+            ids.remove(a)
+            ids.remove(b)
+            break
+        else:
+            return False
+    return True
 
 
 def eliminate_type_II(G, ctx, state):
@@ -241,8 +244,8 @@ def _eliminate_clasps_framed(P):
         a, b = P.state.clasps[0]
         info = P.do("clasp_finger", a=a, b=b)
         E, Ep = info["spawned"]
-        dual_a = P.state.circle(a).partner if P.state.circle(a).kind == TYPE1 else a
-        info = P.do("clasp_finger", a=E, b=dual_a)
+        # a type II circle is its own partner
+        info = P.do("clasp_finger", a=E, b=P.state.circle(a).partner)
         F, Fp = info["spawned"]
         P.do("ambient_surgery", a=Ep)
         P.do("ambient_surgery", a=Fp)
@@ -262,16 +265,15 @@ def decide(G, ctx: Context, state: LinkState) -> Verdict:
         raise SimplifyError("the decision procedure needs a dual sphere")
     ctx = normalize_dual(ctx)
     fqc = fq(G, ctx, state)
-    m = mu(G, state)
-
-    if not ctx.s_characteristic:
+    if np.any(mu(G, state)):
         if not fqc.is_zero:
             return Verdict("Obstructed-fq", witness=fqc,
                            reason="fq is nonzero", final_state=state)
-        if np.any(m):
-            return Verdict("Inconclusive", witness=fqc, final_state=state,
-                           reason="mu vanishes only in the declared quotient; "
-                                  "no cancelling scheme is modeled")
+        return Verdict("Inconclusive", witness=fqc, final_state=state,
+                       reason="mu vanishes only in the declared quotient; "
+                              "no cancelling scheme is modeled")
+
+    if not ctx.s_characteristic:
         # split everything first: the framed clasp loop also works on
         # identity-labeled type II circles, which the cancelling step needs
         # split
@@ -284,14 +286,6 @@ def decide(G, ctx: Context, state: LinkState) -> Verdict:
             P.do("ambient_surgery", a=P.state.pairs()[0][0].id)
         return Verdict("Concordant", trace=P.trace, final_state=P.state,
                        reason="unknotted after clasp elimination")
-
-    if np.any(m):
-        if not fqc.is_zero:
-            return Verdict("Obstructed-fq", witness=fqc,
-                           reason="fq is nonzero", final_state=state)
-        return Verdict("Inconclusive", witness=fqc, final_state=state,
-                       reason="mu vanishes only in the declared quotient; "
-                              "no cancelling scheme is modeled")
 
     st, trace = eliminate_type_II(G, ctx, state)
     st, tr2, label = reduce_to_hopf(G, ctx, st)

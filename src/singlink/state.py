@@ -186,9 +186,9 @@ class LinkState:
     # -- construction helper ----------------------------------------------
     def edited(self, removed=(), added=(), clasps=None, tw=None):
         """The state with the circles of ids ``removed`` taken out, the
-        circles ``added`` put in (each replacing any circle of its id), the
-        clasp count of each pair in the dict ``clasps`` set to its value,
-        and, if ``tw`` is given, the twist entries ``tw``.
+        circles ``added`` put in (no id of theirs left after the removal),
+        the clasp count of each pair in the dict ``clasps`` set to its
+        value, and, if ``tw`` is given, the twist entries ``tw``.
 
         The new fields are merged into the sorted old ones, and only the
         clasp-count rows of the touched circles are copied, so the cost
@@ -209,11 +209,6 @@ class LinkState:
             if texts is not None:
                 del ct[i]
         for c in added:
-            if c.id in by_id:
-                i = bisect_left(circles, c.id, key=_ID)
-                del circles[i]
-                if texts is not None:
-                    del ct[i]
             i = bisect_right(circles, c.id, key=_ID)
             circles.insert(i, c)
             if texts is not None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -229,6 +230,8 @@ MALFORMED = {
     ("duplicate-id", "apply", "duplicate-ids"),
     ("duplicate-id", "decide", "duplicate-ids"),
     ("duplicate-id", "simplify", "duplicate-ids"),
+    ("duplicate-id", "invariants", "duplicate-ids"),
+    ("duplicate-id", "bound", "duplicate-ids"),
     ("name-list", "decide", "ScenarioError"),
     ("name-list", "validate", "ScenarioError"),
     ("boundary_note-list", "decide", "ScenarioError"),
@@ -267,6 +270,35 @@ def test_trace_json_round_trip():
     assert script_from_json(obj["script"]) == script    # a bare list loads too
     final, _ = apply_script(sc.G, sc.ctx, sc.state, script)
     assert state_hash(sc.G, final) == state_hash(sc.G, v.final_state)
+
+
+@pytest.mark.parametrize("name,trace_sha,final_hash", [
+    ("b3s1-even",
+     "cc93be74efcb6c9d68b867410eb96b807e8a8eea94e73a7f781133a322202870",
+     "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
+    ("b3s1-odd",
+     "d0252156796b384f1b5e3a86fb9879500677b7cea682f4744e5c2b91ffb815ee",
+     "0f43db24225b030f9238c0622ad271e1b1986d7a8d4a89ee1dd8dd700a389949"),
+    ("q8-typeII",
+     "daab8d94d95866bc46eb7f32244b98aa01437294e38338601c1947a2f1cb57ea",
+     "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
+    ("s3s1",
+     "08586537e84dfe2632c9aad5d87e8736557ccc516021fa88e4ccd4ce1c213332",
+     "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
+    ("z4-schar",
+     "bc3060904d6623ea8f0d3c58b05abd8b9dfd353d9521ffa3f060accc20e4fc0c",
+     "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
+])
+def test_scenario_traces_frozen(name, trace_sha, final_hash):
+    # every record of decide on a shipped scenario (move, params, steps and
+    # both hashes) is pinned, with the final state: among them type II
+    # cancellation over Z/4 and Q8
+    sc = load_scenario(path(name))
+    v = decide(sc.G, sc.ctx, sc.state)
+    text = json.dumps(trace_to_json(v.trace), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == trace_sha
+    assert state_hash(sc.G, v.final_state) == final_hash
 
 
 def test_full_cycle_trace_still_replays(capsys, tmp_path):

@@ -2,6 +2,7 @@ import gc
 import json
 import random
 import weakref
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -90,13 +91,72 @@ class TestEliminateTypeII:
         with pytest.raises(SimplifyError):
             eliminate_type_II(Z, FRAMED, st)
 
-    def test_incompatible_twists_unpaired(self):
-        # s0 twists against everyone, so it cannot join any cancelling pair
+    def test_star_twists_cancel_in_a_legal_order(self):
+        # s0 twists with s1, s2 and s3, so no pair with s0 is accepted
+        # first; once (s1, s2) is cancelled, s0 and s3 agree
         tw = {("s0", "s1"): 1, ("s0", "s2"): 1, ("s0", "s3"): 1,
               ("s1", "s2"): 0, ("s1", "s3"): 0, ("s2", "s3"): 0}
         st = type2_state(Z2, [(1,)] * 4, tw=tw)
+        for ctx in (FRAMED, SCHAR):
+            post, trace = eliminate_type_II(Z2, ctx, st)
+            assert [(r.move, r.params) for r in trace] == [
+                ("whitney_pair_typeII", {"a": "s1", "b": "s2"}),
+                ("whitney_pair_typeII", {"a": "s0", "b": "s3"})]
+            assert not post.type2_circles()
+            final, _ = apply_script(Z2, ctx, st, trace)
+            assert state_hash(Z2, final) == state_hash(Z2, post)
+            assert mu(Z2, post).tolist() == mu(Z2, st).tolist() == [0]
+            assert delta(Z2, ctx, post).tolist() == delta(Z2, ctx, st).tolist()
+        assert decide(Z2, FRAMED, st).outcome == "Concordant"
+        assert decide(Z2, SCHAR, st).outcome == "Obstructed-km"
+
+    def test_path_twists_admit_no_pairing(self):
+        # only s0-s1, s1-s2 and s2-s3 twist: no two circles agree
+        tw = {("s0", "s1"): 1, ("s0", "s2"): 0, ("s0", "s3"): 0,
+              ("s1", "s2"): 1, ("s1", "s3"): 0, ("s2", "s3"): 1}
+        st = type2_state(Z2, [(1,)] * 4, tw=tw)
         with pytest.raises(SimplifyError):
             eliminate_type_II(Z2, FRAMED, st)
+
+
+def _cancellable(st):
+    """Whether some sequence of `whitney_pair_typeII` moves cancels every
+    type II circle of ``st``, by exhaustive search."""
+    ids = [c.id for c in st.type2_circles()]
+    if not ids:
+        return True
+    for a, b in combinations(ids, 2):
+        try:
+            post, _ = moves.MOVES["whitney_pair_typeII"](Z2, FRAMED, st, a=a, b=b)
+        except moves.MoveError:
+            continue
+        if _cancellable(post):
+            return True
+    return False
+
+
+def _twist_patterns():
+    pairs4 = list(combinations([f"s{i}" for i in range(4)], 2))
+    yield from ((2, {("s0", "s1"): bit}) for bit in (0, 1))
+    yield from ((4, dict(zip(pairs4, bits)))
+                for bits in product((0, 1), repeat=len(pairs4)))
+    rng = random.Random("twists-6")
+    pairs6 = list(combinations([f"s{i}" for i in range(6)], 2))
+    for _ in range(200):
+        yield 6, {p: rng.randint(0, 1) for p in pairs6}
+
+
+def test_type2_cancellation_is_complete():
+    # the greedy pairing cancels a state exactly when some sequence of
+    # pairings does
+    for n, tw in _twist_patterns():
+        st = type2_state(Z2, [(1,)] * n, tw=tw)
+        try:
+            post, _ = eliminate_type_II(Z2, FRAMED, st)
+            cancelled = not post.type2_circles()
+        except SimplifyError:
+            cancelled = False
+        assert cancelled == _cancellable(st), tw
 
 
 class TestReduceToHopf:
@@ -200,6 +260,20 @@ class TestDecide:
         st = type2_state(Z4, [(2,)])
         v = decide(Z4, ctx, st)
         assert v.outcome == "Inconclusive"
+
+    @pytest.mark.parametrize("mu_pi3,outcome", [
+        ((), "Obstructed-fq"), (((1,),), "Inconclusive"),
+    ])
+    def test_schar_nonzero_mu(self, mu_pi3, outcome):
+        # mu != 0 stops decide before any move, also under an
+        # s-characteristic sphere; fq reads mu in the declared quotient
+        ctx = Context(s_characteristic=True, dual_sphere="unframed",
+                      mu_pi3=mu_pi3)
+        st = type2_state(Z2, [(1,)])
+        v = decide(Z2, ctx, st)
+        assert v.outcome == outcome
+        assert v.witness.is_zero == (outcome == "Inconclusive")
+        assert v.trace == [] and v.final_state is st
 
     def test_non_schar_clean_state_concordant(self):
         v = decide(Z, FRAMED, hopf((5,)))

@@ -88,6 +88,40 @@ def test_missing_twist_entry():
     assert validate(G, CTX, ok).ok
 
 
+def _t2(cid, label=(1,), partner=None):
+    return Circle(cid, TYPE2, partner or cid, None, label)
+
+
+@pytest.mark.parametrize("circles,clasps,tw,want", [
+    pytest.param((Circle("a", TYPE1, "ap", "sideways", (1,)),
+                  Circle("ap", TYPE1, "a", INACTIVE)), (), (),
+                 ("bad-role", "a"), id="bad-role"),
+    pytest.param(tuple(pair("a", (0, 0))), (), (),
+                 ("bad-label", "a"), id="bad-label-type1"),
+    pytest.param((Circle("a", TYPE1, "ap", ACTIVE, (1,)),
+                  Circle("ap", TYPE1, "a", INACTIVE, (1,))), (), (),
+                 ("inactive-label-stored", "ap"), id="inactive-label-stored"),
+    pytest.param((_t2("s", partner="t"),), (), (),
+                 ("type2-not-self-dual", "s"), id="type2-not-self-dual"),
+    pytest.param((Circle("x", "type3", "x"),), (), (),
+                 ("bad-kind", "x"), id="bad-kind"),
+    pytest.param(tuple(pair("a")), (("a", "z"),), (),
+                 ("dangling-clasp", ("a", "z")), id="dangling-clasp"),
+    pytest.param((_t2("s0"), _t2("s1")), (),
+                 ((("s0", "s1"), 0), (("s0", "s1"), 1)),
+                 ("duplicate-tw-entries", (("s0", "s1"),)),
+                 id="duplicate-tw-entries"),
+    pytest.param(tuple(pair("a")), (), ((("a", "ap"), 0),),
+                 ("bad-tw-domain", ("a", "ap")), id="bad-tw-domain"),
+    pytest.param((_t2("s0", (0,)), _t2("s1")), (), ((("s0", "s1"), 0),),
+                 ("tw-label-mismatch", ("s0", "s1")), id="tw-label-mismatch"),
+])
+def test_validate_names_each_violation(circles, clasps, tw, want):
+    G = AbelianGroup(0, (2,))
+    st = LinkState(circles=circles, clasps=clasps, tw=tw)
+    assert validate(G, CTX, st).violations == [want]
+
+
 def test_dual_parity_checked_under_schar():
     ctx = Context(s_characteristic=True, dual_sphere="unframed")
     st = LinkState(circles=tuple(pair("a") + pair("b")),
