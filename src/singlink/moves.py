@@ -1,14 +1,17 @@
 """Move calculus: precondition-checked rewrites on link states.
 
-Primitive moves rewrite the decorated data directly; composite moves are
-compositions of primitives, so their label and linking effects can never
-drift from the primitive rules.  Every move carries ``homology_tag``
-through unchanged and preserves the mod-2 invariants (checked by the
-property suite, not re-derived here).
+A move function edits a `Draft` of the state and returns the move's info.
+Primitive moves edit the decorated data directly; a composite move runs
+its primitives, in order, on its one draft, so its label and linking
+effects can never drift from the primitive rules.  A registry entry
+freezes the draft once, into the post-state.  Every move carries
+``homology_tag`` through unchanged and preserves the mod-2 invariants
+(checked by the property suite, not re-derived here).
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import operator
 from dataclasses import dataclass, replace
@@ -19,7 +22,7 @@ import numpy as np
 from . import groups as G_
 from .state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
-    Circle, LinkState, StateError, pkey, state_hash,
+    Circle, Draft, StateError, pkey, state_hash,
 )
 
 
@@ -38,58 +41,10 @@ def _eps0(G, g) -> bool:
     return not np.any(G.eps(g))
 
 
-class _B:
-    """The edits a move makes to a state, for building the post-state:
-    removed circle ids, added circles, the new clasp counts of the touched
-    pairs and the twist entries."""
-
-    def __init__(self, state: LinkState):
-        self.base = state
-        self.removed = set()
-        self.added = {}
-        self.counts = {}
-        self.tw = dict(self.base.tw)
-
-    def _count(self, k):
-        return self.counts[k] if k in self.counts else self.base.clasp_count(*k)
-
-    def toggle_clasp(self, a, b):
-        k = pkey(a, b)
-        n = self._count(k)
-        self.counts[k] = n - 1 if n else 1
-
-    def link_with_clasp(self, a, b):
-        k = pkey(a, b)
-        self.counts[k] = self._count(k) + 1
-
-    def unclasp(self, a, b):
-        k = pkey(a, b)
-        self.counts[k] = self._count(k) - 1
-
-    def add_circle(self, c):
-        self.added[c.id] = c
-
-    def add_pair(self, act_id, inact_id, label):
-        self.add_circle(Circle(act_id, TYPE1, inact_id, ACTIVE, label))
-        self.add_circle(Circle(inact_id, TYPE1, act_id, INACTIVE))
-
-    def remove_circle(self, cid):
-        if self.added.pop(cid, None) is None:
-            self.removed.add(cid)
-        for k in [*self.base.clasps_at(cid), *self.counts]:
-            if cid in k:
-                self.counts[k] = 0
-        self.tw = {k: v for k, v in self.tw.items() if cid not in k}
-
-    def state(self) -> LinkState:
-        return self.base.edited(self.removed, self.added.values(),
-                                self.counts, self.tw.items())
-
-
-def _type2_guard(G, state: LinkState, a: str, b: str):
+def _type2_guard(G, d, a: str, b: str):
     """Crossing-change moves may touch type II circles only when the twist
     data provably cannot drift (tw transport is not modeled in general)."""
-    ca, cb = state.circle(a), state.circle(b)
+    ca, cb = d.circle(a), d.circle(b)
     t2 = [c for c in {ca.id: ca, cb.id: cb}.values() if c.kind == TYPE2]
     if len(t2) == 1 and a != b and not _eps0(G, t2[0].label):
         raise MoveError(
@@ -104,65 +59,62 @@ def _type2_guard(G, state: LinkState, a: str, b: str):
 
 # -- crossing-change primitives --------------------------------------------
 
-def _cross(G, ctx, state, a, b, remove_clasp):
-    ca, cb = state.circle(a), state.circle(b)
-    _type2_guard(G, state, a, b)
-    bld = _B(state)
-    if remove_clasp:
-        if state.clasp_count(a, b) == 0:
-            raise MoveError(f"no clasp between {a!r} and {b!r}")
-        bld.unclasp(a, b)
-    else:
-        bld.link_with_clasp(a, b)
-    e = G.mul(state.read(G, a), G.inv(state.read(G, b)))
-    E, Ep = state.fresh_ids(2, "e")
-    bld.add_pair(E, Ep, e)
+def _cross(G, ctx, d, a, b, remove_clasp):
+    ca, cb = d.circle(a), d.circle(b)
+    _type2_guard(G, d, a, b)
+    n = d.clasp_count(a, b)
+    if remove_clasp and n == 0:
+        raise MoveError(f"no clasp between {a!r} and {b!r}")
+    e = G.mul(d.read(G, a), G.inv(d.read(G, b)))
+    E, Ep = d.fresh_ids(2, "e")
+    d.set_clasp_count(a, b, n - 1 if remove_clasp else n + 1)
+    d.add_pair(E, Ep, e)
     # a type II circle is its own partner
-    bld.link_with_clasp(E, ca.partner)
-    bld.link_with_clasp(Ep, cb.partner)
-    return bld.state(), {"spawned": (E, Ep)}
+    d.add_clasp(E, ca.partner)
+    d.add_clasp(Ep, cb.partner)
+    return {"spawned": (E, Ep)}
 
 
-def _clasp_finger(G, ctx, state, a, b):
-    return _cross(G, ctx, state, a, b, remove_clasp=True)
+def _clasp_finger(G, ctx, d, a, b):
+    return _cross(G, ctx, d, a, b, remove_clasp=True)
 
 
-def _finger_move(G, ctx, state, a, b):
-    return _cross(G, ctx, state, a, b, remove_clasp=False)
+def _finger_move(G, ctx, d, a, b):
+    return _cross(G, ctx, d, a, b, remove_clasp=False)
 
 
-def _trivial_finger(G, ctx, state, g):
+def _trivial_finger(G, ctx, d, g):
     g = G.check(g)
-    bld = _B(state)
-    A, Ap = state.fresh_ids(2, "u")
-    bld.add_pair(A, Ap, g)
-    return bld.state(), {"spawned": (A, Ap)}
+    A, Ap = d.fresh_ids(2, "u")
+    d.add_pair(A, Ap, g)
+    return {"spawned": (A, Ap)}
 
 
-def _introduce_type_II(G, ctx, state):
-    bld = _B(state)
-    cid = state.fresh_ids(1, "t")[0]
-    bld.add_circle(Circle(cid, TYPE2, cid, None, G.identity))
-    for c in state.type2_circles():
-        if c.label is not None and G.element_key(c.label) == G.element_key(G.identity):
-            bld.tw[pkey(cid, c.id)] = 0
-    return bld.state(), {"spawned": (cid,)}
+def _introduce_type_II(G, ctx, d):
+    cid = d.fresh_ids(1, "t")[0]
+    ik = G.element_key(G.identity)
+    # listed before the new circle is added, which needs no entry with itself
+    others = [c.id for c in d.type2_circles()
+              if c.label is not None and G.element_key(c.label) == ik]
+    d.add_circle(Circle(cid, TYPE2, cid, None, G.identity))
+    for x in others:
+        d.add_twist(cid, x, 0)
+    return {"spawned": (cid,)}
 
 
-def _flip_activity(G, ctx, state, a):
+def _flip_activity(G, ctx, d, a):
     """Swap the active/inactive roles in the type I pair of ``a``,
     inverting the label; linking, clasps and twists do not see roles."""
-    c = state.circle(a)
+    c = d.circle(a)
     if c.kind != TYPE1:
         raise MoveError(f"{a!r} is not a type I circle")
-    act = c if c.role == ACTIVE else state.circle(c.partner)
+    act = c if c.role == ACTIVE else d.circle(c.partner)
     if act.kind != TYPE1 or act.role != ACTIVE:
         raise StateError(f"{act.id!r} is not an active type I circle")
-    inact = state.circle(act.partner)
-    swap = (replace(act, role=INACTIVE, label=None),
-            replace(inact, role=ACTIVE, label=G.inv(act.label)))
-    return (state.edited(removed=(act.id, inact.id), added=swap),
-            {"active": inact.id})
+    inact = d.circle(act.partner)
+    d.replace_circle(replace(act, role=INACTIVE, label=None))
+    d.replace_circle(replace(inact, role=ACTIVE, label=G.inv(act.label)))
+    return {"active": inact.id}
 
 
 # -- whitney moves ---------------------------------------------------------
@@ -192,25 +144,28 @@ def _as_spec(spec):
     return replace(spec, sigma=tuple(sigma.items()), nu=nu, n=n)
 
 
-def _add_belts(G, bld, fresh_source, targets, n):
-    ids = fresh_source.fresh_ids(2 * n, "belt")
+def _add_belts(G, d, targets, n):
+    ids = d.fresh_ids(2 * n, "belt")
     for j in range(n):
         B, Bp = ids[2 * j], ids[2 * j + 1]
-        bld.add_pair(B, Bp, G.identity)
+        d.add_pair(B, Bp, G.identity)
         for t in targets:
-            bld.link_with_clasp(B, t)
+            d.add_clasp(B, t)
 
 
-def _row_sum_excluding(state, cid, excluded):
-    return sum(1 for x in state.linked_ids(cid) if x not in excluded) % 2
+def _row_sum_excluding(d, cid, excluded):
+    return sum(1 for x in d.linked_ids(cid) if x not in excluded) % 2
 
 
-def _whitney_split(G, ctx, state, spec, act, inact):
+# A primitive's fresh ids are the smallest free ones before its removals:
+# a primitive that removes circles removes them last.
+
+def _whitney_split(G, ctx, d, spec, act, inact):
     g = act.label
-    if state.clasp_count(act.id, inact.id):
+    if d.clasp_count(act.id, inact.id):
         raise MoveError("split configuration needs a pair with no mutual clasp")
-    t_act = set(state.linked_ids(act.id))
-    t_in = set(state.linked_ids(inact.id))
+    t_act = set(d.linked_ids(act.id))
+    t_in = set(d.linked_ids(inact.id))
     if t_act & t_in:
         raise MoveError(
             "a third circle links both members; split assignment ambiguous")
@@ -228,41 +183,40 @@ def _whitney_split(G, ctx, state, spec, act, inact):
         s1, _ = sigma.get(x, (1, 0))
         return 0 if s1 else 1
 
-    bld = _B(state)
-    bld.remove_circle(act.id)
-    bld.remove_circle(inact.id)
-    O1, O1p, O2, O2p = state.fresh_ids(4, "w")
-    bld.add_pair(O1, O1p, g)
-    bld.add_pair(O2, O2p, g)
+    O1, O1p, O2, O2p = d.fresh_ids(4, "w")
+    d.add_pair(O1, O1p, g)
+    d.add_pair(O2, O2p, g)
     outs_act, outs_in = (O1, O2), (O1p, O2p)
     t1 = u1 = 0
     for x in sorted(t_act):
         i = route(x)
         t1 += (i == 0)
-        bld.link_with_clasp(outs_act[i], x)
+        d.add_clasp(outs_act[i], x)
     for x in sorted(t_in):
         i = route(x)
         u1 += (i == 0)
-        bld.link_with_clasp(outs_in[i], x)
+        d.add_clasp(outs_in[i], x)
     if nu:
-        bld.link_with_clasp(O1, O1p)
-        bld.link_with_clasp(O2, O2p)
+        d.add_clasp(O1, O1p)
+        d.add_clasp(O2, O2p)
     tau = (t1 + u1) % 2
     if tau:
-        bld.link_with_clasp(O1, O2)
-    _add_belts(G, bld, state, (O1, O2), spec.n)
-    return bld.state(), {"outputs": ((O1, O1p), (O2, O2p))}
+        d.add_clasp(O1, O2)
+    _add_belts(G, d, (O1, O2), spec.n)
+    d.remove_circle(act.id)
+    d.remove_circle(inact.id)
+    return {"outputs": ((O1, O1p), (O2, O2p))}
 
 
-def _whitney_merge(G, ctx, state, spec, cu, cv):
+def _whitney_merge(G, ctx, d, spec, cu, cv):
     u, v = cu.id, cv.id
-    up, vp = state.circle(cu.partner), state.circle(cv.partner)
+    up, vp = d.circle(cu.partner), d.circle(cv.partner)
     same_role = cu.role == cv.role
     if spec.mode == "equal" and not same_role:
         raise MoveError("equal-labels pairing joins like roles")
     if spec.mode == "inverse" and same_role:
         raise MoveError("inverse-labels pairing joins opposite roles")
-    ru, rv = state.read(G, u), state.read(G, v)
+    ru, rv = d.read(G, u), d.read(G, v)
     if G.element_key(ru) != G.element_key(rv):
         raise MoveError("band-end labels incompatible")
     if spec.sigma:
@@ -275,45 +229,44 @@ def _whitney_merge(G, ctx, state, spec, cu, cv):
     if len(part) != 4:
         raise MoveError("expected circles from two distinct pairs")
     nu_forced = (
-        _row_sum_excluding(state, act1.id, part)
-        + _row_sum_excluding(state, act2.id, part)
-        + _row_sum_excluding(state, u, part)
-        + _row_sum_excluding(state, v, part)
-        + state.linking(act1.id, in1.id) + state.linking(act2.id, in2.id)
-        + state.linking(act1.id, in2.id) + state.linking(in1.id, act2.id)
+        _row_sum_excluding(d, act1.id, part)
+        + _row_sum_excluding(d, act2.id, part)
+        + _row_sum_excluding(d, u, part)
+        + _row_sum_excluding(d, v, part)
+        + d.linking(act1.id, in1.id) + d.linking(act2.id, in2.id)
+        + d.linking(act1.id, in2.id) + d.linking(in1.id, act2.id)
     ) % 2
     schar = ctx.s_characteristic and ctx.dual_sphere is not None
     nu = nu_forced if spec.nu is None else spec.nu
     if schar and nu != nu_forced:
         raise MoveError("mutual-linking bit inconsistent with dual-pair parity")
-    row_c = {x for x in state.linked_ids(u) if x not in part}
-    row_c ^= {x for x in state.linked_ids(v) if x not in part}
-    row_cp = {x for x in state.linked_ids(up.id) if x not in part}
-    row_cp ^= {x for x in state.linked_ids(vp.id) if x not in part}
-    bld = _B(state)
-    for cid in sorted(part):
-        bld.remove_circle(cid)
-    C, Cp = state.fresh_ids(2, "w")
-    bld.add_pair(C, Cp, ru)
+    row_c = {x for x in d.linked_ids(u) if x not in part}
+    row_c ^= {x for x in d.linked_ids(v) if x not in part}
+    row_cp = {x for x in d.linked_ids(up.id) if x not in part}
+    row_cp ^= {x for x in d.linked_ids(vp.id) if x not in part}
+    C, Cp = d.fresh_ids(2, "w")
+    d.add_pair(C, Cp, ru)
     for x in sorted(row_c):
-        bld.link_with_clasp(C, x)
+        d.add_clasp(C, x)
     for x in sorted(row_cp):
-        bld.link_with_clasp(Cp, x)
+        d.add_clasp(Cp, x)
     if nu:
-        bld.link_with_clasp(C, Cp)
+        d.add_clasp(C, Cp)
     # intersections with the surface leave split belt pairs here: both
     # strands through a belt end up on the same output circle
-    _add_belts(G, bld, state, (), spec.n)
-    return bld.state(), {"outputs": (C, Cp)}
+    _add_belts(G, d, (), spec.n)
+    for cid in sorted(part):
+        d.remove_circle(cid)
+    return {"outputs": (C, Cp)}
 
 
-def _whitney_move(G, ctx, state, spec):
+def _whitney_move(G, ctx, d, spec):
     spec = _as_spec(spec)
     if spec.mode not in ("equal", "inverse"):
         raise MoveError(f"unknown pairing mode {spec.mode!r}")
     if spec.n < 0 or (spec.clean and spec.n):
         raise MoveError("a clean move has no interior intersections")
-    ca, cb = state.circle(spec.a), state.circle(spec.b)
+    ca, cb = d.circle(spec.a), d.circle(spec.b)
     if ca.kind == TYPE2 and cb.kind == TYPE2:
         if spec.mode != "equal":
             raise MoveError("type II circles pair with equal labels")
@@ -327,26 +280,25 @@ def _whitney_move(G, ctx, state, spec):
         key = G.element_key(ca.label)
         if key != G.element_key(cb.label):
             raise MoveError("type II labels differ")
-        if state.clasps_at(a) or state.clasps_at(b):
+        if d.clasps_at(a) or d.clasps_at(b):
             raise MoveError("type II circles must be split before pairing")
-        for c in state.type2_circles():
+        for c in d.type2_circles():
             if (c.id not in (a, b) and G.element_key(c.label) == key
-                    and state.twist(a, c.id) != state.twist(b, c.id)):
+                    and d.twist(a, c.id) != d.twist(b, c.id)):
                 raise MoveError(
                     f"twist data with {c.id!r} differs between the two "
                     "circles; transport not modeled")
-        t = state.twist(a, b)
+        t = d.twist(a, b)
         if spec.nu is not None and spec.nu != t:
             raise MoveError("mutual-linking bit must equal the recorded twist")
-        bld = _B(state)
-        bld.remove_circle(a)
-        bld.remove_circle(b)
-        O, Op = state.fresh_ids(2, "w")
-        bld.add_pair(O, Op, ca.label)
+        O, Op = d.fresh_ids(2, "w")
+        d.add_pair(O, Op, ca.label)
         if t:
-            bld.link_with_clasp(O, Op)
-        _add_belts(G, bld, state, (O, Op), spec.n)
-        return bld.state(), {"outputs": (O, Op)}
+            d.add_clasp(O, Op)
+        _add_belts(G, d, (O, Op), spec.n)
+        d.remove_circle(a)
+        d.remove_circle(b)
+        return {"outputs": (O, Op)}
     if ca.kind != TYPE1 or cb.kind != TYPE1:
         raise MoveError("band ends must sit on circles of matching kind")
     if spec.a == spec.b:
@@ -356,58 +308,58 @@ def _whitney_move(G, ctx, state, spec):
             raise MoveError("a dual pair joins with inverse labels")
         act = ca if ca.role == ACTIVE else cb
         inact = cb if ca.role == ACTIVE else ca
-        return _whitney_split(G, ctx, state, spec, act, inact)
-    return _whitney_merge(G, ctx, state, spec, ca, cb)
+        return _whitney_split(G, ctx, d, spec, act, inact)
+    return _whitney_merge(G, ctx, d, spec, ca, cb)
 
 
-def _whitney_pair_typeII(G, ctx, state, a, b):
+def _whitney_pair_typeII(G, ctx, d, a, b):
     """`whitney_move`'s pairing of two type II circles, with no belts.  It
     calls the move function, not the registry entry, so a pairing is not
     also counted as a `whitney_move`."""
-    if state.circle(a).kind != TYPE2 or state.circle(b).kind != TYPE2:
+    if d.circle(a).kind != TYPE2 or d.circle(b).kind != TYPE2:
         raise MoveError("expected two type II circles")
-    return _whitney_move(G, ctx, state, {"a": a, "b": b})
+    return _whitney_move(G, ctx, d, {"a": a, "b": b})
 
 
 # -- ambient surgery -------------------------------------------------------
 
-def _ambient_surgery(G, ctx, state, a):
-    ca = state.circle(a)
+def _ambient_surgery(G, ctx, d, a):
+    ca = d.circle(a)
     if ca.kind != TYPE1:
         raise MoveError("surgery applies to a type I dual pair")
     if ctx.dual_sphere is None:
         raise MoveError("surgery needs a dual sphere in the ambient context")
-    dual = state.circle(ca.partner)
-    if state.clasps_at(dual.id):
+    dual = d.circle(ca.partner)
+    if d.clasps_at(dual.id):
         raise MoveError(f"dual circle {dual.id!r} is not split")
-    bld = _B(state)
     if ctx.dual_sphere == "unframed":
-        linkers = state.linked_ids(a)
+        linkers = d.linked_ids(a)
         if len(linkers) % 2:
             raise MoveError("twisted surgery needs an even number of linkers")
-        for x, y in combinations(sorted(linkers), 2):
-            bld.toggle_clasp(x, y)
-    bld.remove_circle(a)
-    bld.remove_circle(dual.id)
-    return bld.state(), {"removed": (a, dual.id)}
+        for x, y in combinations(linkers, 2):
+            n = d.clasp_count(x, y)
+            d.set_clasp_count(x, y, n - 1 if n else 1)
+    d.remove_circle(a)
+    d.remove_circle(dual.id)
+    return {"removed": (a, dual.id)}
 
 
 # -- hopf-pair primitives --------------------------------------------------
 
-def _split_hopf_pairs(state, a, b):
+def _split_hopf_pairs(d, a, b):
     """(active of a, inactive of a, active of b, inactive of b) for the
     type I pairs of ``a`` and ``b``: two distinct split Hopf pairs."""
     out = []
     for cid in (a, b):
-        c = state.circle(cid)
+        c = d.circle(cid)
         if c.kind != TYPE1:
             raise MoveError(f"{cid!r} is not a type I circle")
-        act = c if c.role == ACTIVE else state.circle(c.partner)
-        inact = state.circle(act.partner)
+        act = c if c.role == ACTIVE else d.circle(c.partner)
+        inact = d.circle(act.partner)
         # linked to each other, with every clasp at either circle a mutual one
         mutual = pkey(act.id, inact.id)
-        if (not state.linking(act.id, inact.id)
-                or any(k != mutual for x in mutual for k in state.clasps_at(x))):
+        if (not d.linking(act.id, inact.id)
+                or any(k != mutual for x in mutual for k in d.clasps_at(x))):
             raise MoveError(f"pair of {cid!r} is not a split Hopf pair")
         out += [act, inact]
     if out[0].id == out[2].id:
@@ -415,84 +367,80 @@ def _split_hopf_pairs(state, a, b):
     return out
 
 
-def _merge_hopf_pairs(G, ctx, state, a, b):
-    act_a, in_a, act_b, in_b = _split_hopf_pairs(state, a, b)
+def _merge_hopf_pairs(G, ctx, d, a, b):
+    act_a, in_a, act_b, in_b = _split_hopf_pairs(d, a, b)
     label = G.mul(act_b.label, act_a.label)
-    bld = _B(state)
+    C, Cp = d.fresh_ids(2, "m")
+    d.add_pair(C, Cp, label)
+    d.add_clasp(C, Cp)
     for cid in (act_a.id, in_a.id, act_b.id, in_b.id):
-        bld.remove_circle(cid)
-    C, Cp = state.fresh_ids(2, "m")
-    bld.add_pair(C, Cp, label)
-    bld.link_with_clasp(C, Cp)
-    return bld.state(), {"outputs": (C, Cp)}
+        d.remove_circle(cid)
+    return {"outputs": (C, Cp)}
 
 
-def _remove_trivial_hopf_pairs(G, ctx, state, a, b):
+def _remove_trivial_hopf_pairs(G, ctx, d, a, b):
     if ctx.dual_sphere is None:
         raise MoveError("removal needs a dual sphere in the ambient context")
-    act_a, in_a, act_b, in_b = _split_hopf_pairs(state, a, b)
+    act_a, in_a, act_b, in_b = _split_hopf_pairs(d, a, b)
     ik = G.element_key(G.identity)
     if G.element_key(act_a.label) != ik or G.element_key(act_b.label) != ik:
         raise MoveError("both pairs must carry the identity label")
-    bld = _B(state)
     for cid in (act_a.id, in_a.id, act_b.id, in_b.id):
-        bld.remove_circle(cid)
-    return bld.state(), {"removed": (act_a.id, in_a.id, act_b.id, in_b.id)}
+        d.remove_circle(cid)
+    return {"removed": (act_a.id, in_a.id, act_b.id, in_b.id)}
 
 
 # -- composites ------------------------------------------------------------
 
 class _Runner:
-    """Applies primitive steps sequentially, recording the expansion."""
+    """Runs a composite's primitive steps, in order, on the composite's
+    draft, recording the expansion."""
 
-    def __init__(self, G, ctx, state):
-        self.G, self.ctx = G, ctx
-        self.state = state
-        self.steps = []
+    def __init__(self, G, ctx, d):
+        self.G, self.ctx, self.d, self.steps = G, ctx, d, []
 
     def do(self, name, **params):
-        self.state, info = _PRIMITIVES[name](self.G, self.ctx, self.state, **params)
+        info = _STEPS[name](self.G, self.ctx, self.d, **params)
         self.steps.append((name, dict(params)))
         return info
 
 
-def _move_meridian(G, ctx, state, a, e):
-    ca = state.circle(a)
-    ce = state.circle(e)
+def _move_meridian(G, ctx, d, a, e):
+    ca, ce = d.circle(a), d.circle(e)
     if ca.kind != TYPE1 or ce.kind != TYPE1:
         raise MoveError("both circles must be type I")
-    if state.linked_ids(e) != [a]:
+    if d.linked_ids(e) != [a]:
         raise MoveError(f"{e!r} is not a meridian of {a!r}")
-    r = _Runner(G, ctx, state)
+    r = _Runner(G, ctx, d)
     r.do("clasp_finger", a=a, b=e)
     r.do("ambient_surgery", a=ce.partner)
-    return r.state, {"steps": r.steps}
+    return {"steps": r.steps}
 
 
-def _shorten_cycle(G, ctx, state, actives):
+def _shorten_cycle(G, ctx, d, actives):
     """Merge the first two listed pairs of a cycle, where each listed entry
     links the next entry's dual.  Only the first two entries are read, and
     the primitives check their own preconditions, so a driver lists two;
     a recorded script that lists the whole cycle still replays.  An entry
-    may have either role, as labels are read with ``state.read``;
+    may have either role, as labels are read with ``read``;
     ``actives`` keeps its name so recorded scripts still decode."""
     if not isinstance(actives, (list, tuple)) or len(actives) < 2:
         raise MoveError("a cycle to shorten lists at least two circles")
     if ctx.dual_sphere != "unframed":
         raise MoveError("cycle shortening needs an unframed dual sphere")
-    circles = [state.circle(x) for x in actives]
+    circles = [d.circle(x) for x in actives]
     for c in circles:
         if c.kind != TYPE1:
             raise MoveError(f"{c.id!r} is not a type I circle")
     if len({c.id for c in circles}) != len(circles):
         raise MoveError("cycle entries repeat a pair")
     for c, nxt in zip(circles, circles[1:]):
-        if state.linking(c.id, nxt.partner) != 1:
+        if d.linking(c.id, nxt.partner) != 1:
             raise MoveError(f"{c.id!r} does not link the next dual circle")
     a1, a2 = circles[0], circles[1]
-    g1, g2 = state.read(G, a1.id), state.read(G, a2.id)
+    g1, g2 = d.read(G, a1.id), d.read(G, a2.id)
     target = G.mul(g2, g1)
-    r = _Runner(G, ctx, state)
+    r = _Runner(G, ctx, d)
     info = r.do("clasp_finger", a=a1.id, b=a2.partner)
     E, Ep = info["spawned"]
     r.do("ambient_surgery", a=a1.partner)
@@ -503,10 +451,10 @@ def _shorten_cycle(G, ctx, state, actives):
     e_read = G.mul(g1, g2)
     if tk != G.element_key(e_read) and tk == G.element_key(G.inv(e_read)):
         r.do("flip_activity", a=E)
-    return r.state, {"steps": r.steps}
+    return {"steps": r.steps}
 
 
-def _add_hopf_pair(G, ctx, state, g):
+def _add_hopf_pair(G, ctx, d, g):
     g = G.check(g)
     if not _eps0(G, g):
         raise MoveError("element is homologically nontrivial mod 2")
@@ -515,7 +463,7 @@ def _add_hopf_pair(G, ctx, state, g):
         word = [(None, 1), (None, 1)]
     else:
         word = [(i, e) for i, e in G.balanced_word(g)]
-    r = _Runner(G, ctx, state)
+    r = _Runner(G, ctx, d)
     # insert one split pair per two word letters sharing a generator, then
     # split each into two Hopf pairs (Fig-19 style) and merge in word order
     pending = {}
@@ -540,7 +488,7 @@ def _add_hopf_pair(G, ctx, state, g):
     for pos in range(len(word) - 2, -1, -1):
         info = r.do("merge_hopf_pairs", a=cur, b=slot[pos])
         cur = info["outputs"][0]
-    return r.state, {"steps": r.steps, "active": cur}
+    return {"steps": r.steps, "active": cur}
 
 
 # -- records, registry, scripts --------------------------------------------
@@ -575,7 +523,20 @@ class MoveRecord:
         return self.hashes()[1]
 
 
-_PRIMITIVES = {
+def _registered(edit):
+    """The registry entry of the move function ``edit``: ``(G, ctx, state,
+    **params) -> (post, info)``, with ``post`` frozen from one draft of
+    ``state``."""
+    @functools.wraps(edit)
+    def move(G, ctx, state, **params):
+        d = Draft(state)
+        info = edit(G, ctx, d, **params)
+        return d.freeze(), info
+    return move
+
+
+# the move functions of the primitives, which a composite runs on its draft
+_STEPS = {
     "clasp_finger": _clasp_finger,
     "finger_move": _finger_move,
     "trivial_finger": _trivial_finger,
@@ -588,11 +549,11 @@ _PRIMITIVES = {
     "remove_trivial_hopf_pairs": _remove_trivial_hopf_pairs,
 }
 
-_COMPOSITES = {
-    "move_meridian": _move_meridian,
-    "shorten_cycle": _shorten_cycle,
-    "add_hopf_pair": _add_hopf_pair,
-}
+_PRIMITIVES = {name: _registered(fn) for name, fn in _STEPS.items()}
+
+_COMPOSITES = {"move_meridian": _registered(_move_meridian),
+               "shorten_cycle": _registered(_shorten_cycle),
+               "add_hopf_pair": _registered(_add_hopf_pair)}
 
 MOVES = {**_PRIMITIVES, **_COMPOSITES}
 

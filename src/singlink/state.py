@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -76,10 +76,6 @@ def pkey(a: str, b: str) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
-def _sorted_tw(tw) -> tuple:
-    return tuple(sorted((pkey(*p), int(bit) & 1) for p, bit in tw))
-
-
 @dataclass(frozen=True)
 class LinkState:
     """A state with its fields in canonical order, the order of its
@@ -91,13 +87,14 @@ class LinkState:
     homology_tag: str | None = None
 
     def __post_init__(self):
-        # `edited` builds its states in canonical order without this
+        # a `Draft` freezes its states in canonical order without this
         object.__setattr__(self, "circles", tuple(sorted(self.circles, key=_ID)))
         object.__setattr__(self, "clasps", tuple(sorted(pkey(*p) for p in self.clasps)))
-        object.__setattr__(self, "tw", _sorted_tw(self.tw))
+        object.__setattr__(self, "tw", tuple(sorted(
+            (pkey(*p), int(bit) & 1) for p, bit in self.tw)))
 
     # -- index -------------------------------------------------------------
-    # built on first use, or by `edited` from the parent's; the fields, and
+    # built on first use, or by a `Draft` from its base's; the fields, and
     # so the canonical JSON and the hash, stay the only state
     @cached_property
     def _by_id(self):
@@ -183,66 +180,107 @@ class LinkState:
             n += 1
         return out
 
-    # -- construction helper ----------------------------------------------
-    def edited(self, removed=(), added=(), clasps=None, tw=None):
-        """The state with the circles of ids ``removed`` taken out, the
-        circles ``added`` put in (no id of theirs left after the removal),
-        the clasp count of each pair in the dict ``clasps`` set to its
-        value, and, if ``tw`` is given, the twist entries ``tw``.
 
-        The new fields are merged into the sorted old ones, and only the
-        clasp-count rows of the touched circles are copied, so the cost
-        follows the edits more than the size of the state; the result is
-        in canonical order without being sorted again.  A state that keeps
-        the texts of its circles and clasps (see `state_hash`) passes them
-        on, edited at the same slots, so hashing the result encodes only
-        the added circles and clasps.
-        """
-        texts = self.__dict__.get("_texts")
-        if texts is not None:
-            G, ct, clt = texts[0], list(texts[1]), texts[2]
-        circles, by_id = list(self.circles), dict(self._by_id)
-        for cid in removed:
-            del by_id[cid]
-            i = bisect_left(circles, cid, key=_ID)
-            del circles[i]
-            if texts is not None:
-                del ct[i]
-        for c in added:
-            i = bisect_right(circles, c.id, key=_ID)
-            circles.insert(i, c)
-            if texts is not None:
-                ct.insert(i, c.json_text(G))
-            by_id[c.id] = c
-        cl, links, lk = self.clasps, self._links, self.lk
-        if clasps:
-            cl, flipped = list(cl), set()
-            if texts is not None:
-                clt = list(clt)
-            rows = {x: dict(links.get(x, ())) for k in clasps for x in k}
-            for (a, b), n in clasps.items():
-                was = self.clasp_count(a, b)
-                lo = bisect_left(cl, (a, b))
-                cl[lo:lo + was] = [(a, b)] * n
-                if texts is not None:
-                    clt[lo:lo + was] = [_pair_json(a, b)] * n
-                rows[a][b] = rows[b][a] = n
-                if (n - was) % 2 and a != b:
-                    flipped.add((a, b))
-            cl, links, lk = tuple(cl), dict(links), lk ^ flipped
-            for x, row in rows.items():
-                row = {y: m for y, m in row.items() if m}
-                if row:
-                    links[x] = row
-                else:
-                    links.pop(x, None)
+class Draft:
+    """A state under edit, which a move, or the chain of primitives of a
+    composite move, rewrites before `freeze` makes it a `LinkState`.
+
+    A draft answers the queries of `LinkState`, borrowed from it, with its
+    edits applied.  It keeps copies of the fields and indexes they read,
+    and copies a clasp-count row on the first edit of that row, so it
+    never changes its base.  An edit keeps every field in canonical order
+    without sorting it, and edits the texts of circles and clasps the base
+    kept (see `state_hash`) at the same slots."""
+
+    circle = LinkState.circle
+    read = LinkState.read
+    linked_ids = LinkState.linked_ids
+    clasp_count = LinkState.clasp_count
+    clasps_at = LinkState.clasps_at
+    linking = LinkState.linking
+    twist = LinkState.twist
+    type2_circles = LinkState.type2_circles
+    pairs = LinkState.pairs
+    fresh_ids = LinkState.fresh_ids
+
+    def __init__(self, base: LinkState):
+        self.base = base
+        self.circles, self.clasps = list(base.circles), list(base.clasps)
+        self.tw = list(base.tw)
+        self._by_id, self._links = dict(base._by_id), dict(base._links)
+        self._rows = set()         # the clasp-count rows copied
+        self._flipped = set()      # the pairs whose linking the edits flipped
+        texts = base.__dict__.get("_texts")
+        self._texts = texts and (texts[0], list(texts[1]), list(texts[2]))
+
+    # -- edits ---------------------------------------------------------------
+    def add_circle(self, c: Circle):
+        """Put in ``c``, whose id no circle of the draft has."""
+        i = bisect_right(self.circles, c.id, key=_ID)
+        self.circles.insert(i, c)
+        self._by_id[c.id] = c
+        if self._texts is not None:
+            self._texts[1].insert(i, c.json_text(self._texts[0]))
+
+    def add_pair(self, act_id: str, inact_id: str, label):
+        self.add_circle(Circle(act_id, TYPE1, inact_id, ACTIVE, label))
+        self.add_circle(Circle(inact_id, TYPE1, act_id, INACTIVE))
+
+    def replace_circle(self, c: Circle):
+        """Put ``c`` in place of the circle with its id."""
+        i = bisect_left(self.circles, c.id, key=_ID)
+        self.circles[i] = self._by_id[c.id] = c
+        if self._texts is not None:
+            self._texts[1][i] = c.json_text(self._texts[0])
+
+    def remove_circle(self, cid: str):
+        """Take out circle ``cid`` with its clasps and twist entries."""
+        for x in list(self._links.get(cid, ())):
+            self.set_clasp_count(cid, x, 0)
+        i = bisect_left(self.circles, cid, key=_ID)
+        del self.circles[i], self._by_id[cid]
+        if self._texts is not None:
+            del self._texts[1][i]
+        self.tw = [e for e in self.tw if cid not in e[0]]
+
+    def set_clasp_count(self, a: str, b: str, n: int):
+        """Make ``n`` clasps join ``a`` and ``b``."""
+        k = a, b = pkey(a, b)
+        was = self.clasp_count(a, b)
+        lo = bisect_left(self.clasps, k)
+        self.clasps[lo:lo + was] = [k] * n
+        if self._texts is not None:
+            self._texts[2][lo:lo + was] = [_pair_json(a, b)] * n
+        for x, y in ((a, b), (b, a)):
+            if x not in self._rows:
+                self._rows.add(x)
+                self._links[x] = dict(self._links.get(x, ()))
+            row = self._links.setdefault(x, {})
+            if n:
+                row[y] = n
+            else:
+                row.pop(y, None)
+            if not row:
+                del self._links[x]
+        if (n - was) % 2 and a != b:
+            self._flipped ^= {k}
+
+    def add_clasp(self, a: str, b: str):
+        self.set_clasp_count(a, b, self.clasp_count(a, b) + 1)
+
+    def add_twist(self, a: str, b: str, bit: int):
+        """Put in the twist entry of a pair that has none."""
+        insort(self.tw, (pkey(a, b), bit))
+
+    def freeze(self) -> LinkState:
+        """The edited state, with the draft's indexes and kept texts; the
+        draft is not edited after this."""
         new = object.__new__(LinkState)
-        new.__dict__.update(circles=tuple(circles), clasps=cl,
-                            tw=self.tw if tw is None else _sorted_tw(tw),
-                            homology_tag=self.homology_tag,
-                            _by_id=by_id, _links=links, lk=lk)
-        if texts is not None:
-            new.__dict__["_texts"] = (G, ct, clt)
+        new.__dict__.update(circles=tuple(self.circles),
+                            clasps=tuple(self.clasps), tw=tuple(self.tw),
+                            homology_tag=self.base.homology_tag,
+                            _by_id=self._by_id, _links=self._links,
+                            lk=self.base.lk ^ self._flipped, _texts=self._texts)
         return new
 
 
@@ -450,8 +488,8 @@ def state_hash(G, state: LinkState) -> str:
     separators=(",", ":"))``, joined from kept texts.
 
     On its first hash under a group, a state keeps the texts of its
-    circles and clasps under that group, in the order of its fields, and
-    `LinkState.edited` carries them into the states built from it.  The
+    circles and clasps under that group, in the order of its fields, and a
+    `Draft` carries them into the states built from it.  The
     digest is kept on the state with its group too, so a state is hashed
     once under one group; under another group both are computed again."""
     got = state.__dict__.get("_hash")

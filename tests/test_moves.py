@@ -4,6 +4,7 @@ acceptance suite; here the expected post-states are written out by hand."""
 
 import json
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from singlink.randwalk import (
 from singlink.scenario import record_to_json
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
-    Circle, Context, LinkState, pkey, state_hash, validate,
+    Circle, Context, Draft, LinkState, pkey, state_hash, validate,
 )
 
 Z = AbelianGroup(1)
@@ -333,6 +334,115 @@ class TestScripts:
         # the recorded primitive expansion replays to the same post state
         final, _ = apply_script(Z, ctx, st, [dict(move=n, params=p) for n, p in rec.steps])
         assert state_hash(Z, final) == rec.post_hash
+
+
+class TestFreshIds:
+    """A primitive's fresh ids are the smallest free ones before it removes
+    anything, so the circles it removes still block their ids."""
+
+    def test_whitney_split(self):
+        st = state_of(pair("w0", (3,)))
+        _, info = MOVES["whitney_move"](
+            Z, CTX, st, spec={"a": "w0", "b": "w0p", "mode": "inverse"})
+        assert info["outputs"] == (("w1", "w2"), ("w3", "w4"))
+
+    def test_whitney_split_belts(self):
+        st = state_of(pair("belt0", (3,)))
+        post, info = MOVES["whitney_move"](Z, CTX, st, spec={
+            "a": "belt0", "b": "belt0p", "mode": "inverse", "clean": False,
+            "n": 1})
+        assert info["outputs"] == (("w0", "w1"), ("w2", "w3"))
+        assert [c.id for c in post.circles] == [
+            "belt1", "belt2", "w0", "w1", "w2", "w3"]
+
+    def test_whitney_merge(self):
+        st = state_of(pair("w0", (3,)) + pair("w1", (3,)))
+        _, info = MOVES["whitney_move"](
+            Z, CTX, st, spec={"a": "w0", "b": "w1", "mode": "equal"})
+        assert info["outputs"] == ("w2", "w3")
+
+    @pytest.mark.parametrize("move,params", [
+        ("whitney_pair_typeII", {"a": "w0", "b": "w1"}),
+        ("whitney_move", {"spec": {"a": "w0", "b": "w1"}}),
+    ])
+    def test_type2_pairing(self, move, params):
+        G = AbelianGroup(0, (2,))
+        cs = [Circle(x, TYPE2, x, None, (1,)) for x in ("w0", "w1")]
+        st = state_of(cs, tw=[(("w0", "w1"), 1)])
+        post, info = MOVES[move](G, CTX, st, **params)
+        assert info["outputs"] == ("w2", "w3")
+        assert [c.id for c in post.circles] == ["w2", "w3"]
+
+    def test_merge_hopf_pairs(self):
+        st = state_of(pair("m0", (3,)) + pair("m1", (2,)),
+                      lk={("m0", "m0p"), ("m1", "m1p")},
+                      clasps=[("m0", "m0p"), ("m1", "m1p")])
+        _, info = MOVES["merge_hopf_pairs"](Z, CTX, st, a="m0", b="m1")
+        assert info["outputs"] == ("m2", "m3")
+
+
+class TestDraft:
+    @pytest.mark.parametrize("g,letters", [((0,), 2), ((40,), 40)])
+    def test_composite_freezes_once(self, monkeypatch, g, letters):
+        # a composite runs every primitive step on its one draft, and its
+        # registry entry freezes that draft into the one state it builds,
+        # whatever the length of the word it realizes
+        counts = Counter()
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        st = LinkState()
+        monkeypatch.setattr(Draft, "__init__", counting("drafts", Draft.__init__))
+        monkeypatch.setattr(Draft, "freeze", counting("freezes", Draft.freeze))
+        monkeypatch.setattr(LinkState, "__init__",
+                            counting("inits", LinkState.__init__))
+        post, rec = apply_move(Z, CTX, st, "add_hopf_pair", {"g": g})
+        assert len(rec.steps) > letters
+        assert counts == {"drafts": 1, "freezes": 1}
+        assert validate(Z, CTX, post).ok
+
+    @staticmethod
+    def assert_intact(G, st):
+        # the input's fields, indexes, kept texts and digest are those of a
+        # state rebuilt from its fields
+        rebuilt = LinkState(circles=st.circles, clasps=st.clasps, tw=st.tw,
+                            homology_tag=st.homology_tag)
+        assert st == rebuilt
+        for name in ("_by_id", "_links", "lk"):
+            assert st.__dict__[name] == getattr(rebuilt, name), name
+        state_hash(G, rebuilt)
+        assert st.__dict__["_texts"] == rebuilt.__dict__["_texts"]
+        assert st.__dict__["_hash"] == rebuilt.__dict__["_hash"]
+
+    def test_failed_composite_leaves_its_input(self):
+        # a0 links the duals of a1 and a3: shortening (a0, a1) passes its
+        # own check and its clasp finger, then the surgery on a0p finds a0
+        # still clasped to a3p
+        circles = pair("a0") + pair("a1", (1,)) + pair("a2", (2,)) + pair("a3")
+        clasps = [("a0", "a1p"), ("a1", "a2p"), ("a2", "a0p"),
+                  ("a0", "a3p"), ("a3", "a0p")]
+        st = state_of(circles, lk=clasps, clasps=clasps)
+        assert validate(Z, SCHAR, st).ok
+        state_hash(Z, st)
+        with pytest.raises(MoveError, match="'a0' is not split"):
+            MOVES["shorten_cycle"](Z, SCHAR, st, actives=["a0", "a1"])
+        self.assert_intact(Z, st)
+        # and the input still takes the moves that succeed
+        post, _ = MOVES["clasp_finger"](Z, SCHAR, st, a="a0", b="a3p")
+        MOVES["shorten_cycle"](Z, SCHAR, post, actives=["a0", "a1"])
+        self.assert_intact(Z, st)
+
+    def test_rejected_whitney_move_leaves_its_input(self):
+        st = state_of(pair("u", (1,)) + pair("v", (2,)) + pair("x"),
+                      lk={("u", "xp")}, clasps=[("u", "xp")])
+        state_hash(Z, st)
+        with pytest.raises(MoveError, match="labels incompatible"):
+            MOVES["whitney_move"](Z, CTX, st,
+                                  spec={"a": "u", "b": "v", "mode": "equal"})
+        self.assert_intact(Z, st)
 
 
 class TestHashOnce:

@@ -323,3 +323,31 @@ def test_full_cycle_trace_still_replays(capsys, tmp_path):
         if e["move"] == "shorten_cycle":
             e["params"]["actives"] = e["params"]["actives"][:2]
     assert json.loads(new_file.read_text()) == old
+
+
+@pytest.mark.parametrize("command", ["decide", "simplify"])
+def test_clasped_type2_is_a_limit(capsys, tmp_path, command):
+    # no modeled move splits a type II circle under an unframed dual (a
+    # clasp finger and a surgery return the same configuration), so a valid
+    # s-characteristic state with a clasped type II circle stops both
+    # pipelines with a precise error
+    state = {"circles": [
+        {"id": "e", "kind": "type1", "partner": "ep", "role": "active",
+         "label": [0]},
+        {"id": "ep", "kind": "type1", "partner": "e", "role": "inactive"},
+        {"id": "s", "kind": "type2", "partner": "s", "label": [0]}],
+        "lk": [["e", "s"], ["ep", "s"]], "clasps": [["e", "s"], ["ep", "s"]],
+        "tw": [], "homology_tag": None}
+    f = tmp_path / "clasped.json"
+    f.write_text(json.dumps({
+        "schema_version": 1, "name": "clasped-type2",
+        "group": {"kind": "fg-abelian", "rank": 1, "torsion": [],
+                  "generators": [[1]]},
+        "context": {"s_characteristic": True, "dual_sphere": "unframed"},
+        "state": state, "script": []}))
+    code, payload, _ = run(capsys, "--format", "machine", "validate", str(f))
+    assert code == 0 and payload["ok"]
+    code = cli.main(["--format", "machine", command, str(f)])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == 1 and err["error"] == "SimplifyError"
+    assert err["message"].startswith("type II circle 's' is linked")

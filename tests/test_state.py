@@ -14,7 +14,7 @@ from singlink.randwalk import CONTEXTS, _parity_ok, standard_groups, walk
 from singlink.simplify import _walk, decide
 from singlink.state import (
     ACTIVE, INACTIVE, TYPE1, TYPE2,
-    Circle, Context, LinkState, StateError, pkey,
+    Circle, Context, Draft, LinkState, StateError, pkey,
     state_from_json, state_hash, state_to_json, validate,
 )
 
@@ -395,15 +395,21 @@ def test_circle_text_follows_the_group():
 
 
 def test_kept_texts_follow_the_group():
-    # `edited` passes on the texts kept under the group the parent was
+    # a draft passes on the texts kept under the group its base was
     # hashed under; hashed under another group, the child encodes afresh
     st = LinkState(circles=tuple(pair("a", (4,)) + pair("b", (2,))),
                    clasps=(("a", "bp"), ("b", "ap")))
     Z3, Z5 = AbelianGroup(0, (3,)), AbelianGroup(0, (5,))
     state_hash(Z3, st)
-    child = st.edited(removed=("b", "bp"), added=pair("c", (1,)),
-                      clasps={("a", "bp"): 0, ("b", "ap"): 0,
-                              ("a", "cp"): 1, ("ap", "c"): 2})
+    d = Draft(st)
+    for cid in ("b", "bp"):
+        d.remove_circle(cid)
+    for c in pair("c", (1,)):
+        d.add_circle(c)
+    for (a, b), n in {("a", "bp"): 0, ("b", "ap"): 0,
+                      ("a", "cp"): 1, ("ap", "c"): 2}.items():
+        d.set_clasp_count(a, b, n)
+    child = d.freeze()
     assert child.__dict__["_texts"][0] is Z3
     for G in (Z3, Z5, Z3):
         assert state_hash(G, child) == reference_hash(G, child)
