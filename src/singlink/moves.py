@@ -423,7 +423,8 @@ def _shorten_cycle(G, ctx, d, actives):
     the primitives check their own preconditions, so a driver lists two;
     a recorded script that lists the whole cycle still replays.  An entry
     may have either role, as labels are read with ``read``;
-    ``actives`` keeps its name so recorded scripts still decode."""
+    ``actives`` keeps its name so recorded scripts still decode.  The info
+    names the active circle of the merged pair."""
     if not isinstance(actives, (list, tuple)) or len(actives) < 2:
         raise MoveError("a cycle to shorten lists at least two circles")
     if ctx.dual_sphere != "unframed":
@@ -449,9 +450,10 @@ def _shorten_cycle(G, ctx, d, actives):
     # g2*g1 whenever either presentation achieves that
     tk = G.element_key(target)
     e_read = G.mul(g1, g2)
+    active = E
     if tk != G.element_key(e_read) and tk == G.element_key(G.inv(e_read)):
-        r.do("flip_activity", a=E)
-    return {"steps": r.steps}
+        active = r.do("flip_activity", a=E)["active"]
+    return {"steps": r.steps, "active": active}
 
 
 def _add_hopf_pair(G, ctx, d, g):

@@ -8,13 +8,14 @@ the state by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations
 
 import numpy as np
 
 from .invariants import QuotientClass, delta, fq, km, mu, normalize_dual
 from .moves import MoveError, Recorder
-from .state import TYPE1, Context, LinkState
+from .state import ACTIVE, TYPE1, Context, LinkState, StateError
 
 
 class SimplifyError(ValueError):
@@ -134,16 +135,22 @@ def reduce_to_hopf(G, ctx, state):
     # of (link, duality) edges until only length-1 cycles (split Hopf
     # pairs) remain.  Entries of either role shorten alike, so each step is
     # one move naming two entries, and the trace stays linear in the cycle
-    # length
-    while True:
-        for act, inact in P.state.pairs():
-            nxt = P.state.linked_ids(act.id)[0]
-            if nxt != inact.id:
-                P.do("shorten_cycle",
-                     actives=[act.id, P.state.circle(nxt).partner])
-                break
-        else:
-            break
+    # length.  Each step starts at the smallest active id of a pair that is
+    # not split, popped from a heap: a shortening changes no pair but the
+    # one it outputs, whose active id it pushes, and a popped id is checked
+    # again, as the ids of merged pairs are reused
+    heap = [act.id for act, _ in P.state.pairs()]      # sorted, so a heap
+    while heap:
+        a = heappop(heap)
+        try:
+            c = P.state.circle(a)
+        except StateError:
+            continue
+        nxt = P.state.linked_ids(a)[0]
+        if c.role == ACTIVE and nxt != c.partner:
+            info = P.do("shorten_cycle",
+                        actives=[a, P.state.circle(nxt).partner])
+            heappush(heap, info["active"])
 
     # 4: merge the split Hopf pairs into one
     if not P.state.pairs():
@@ -239,7 +246,16 @@ class Verdict:
 
 def _eliminate_clasps_framed(P):
     """Remove every clasp using a framed dual: two finger moves park the
-    intersections on a fresh meridian pair, two surgeries delete it."""
+    intersections on a fresh meridian pair, two surgeries delete it.
+
+    No modeled crossing change touches a type II circle whose label is
+    homologically nontrivial (`moves._type2_guard`), so a clasp at one
+    raises SimplifyError, before any move."""
+    for c in P.state.type2_circles():
+        if P.state.clasps_at(c.id) and np.any(P.G.eps(c.label)):
+            raise SimplifyError(
+                f"type II circle {c.id!r} is clasped and its label is "
+                "homologically nontrivial; no modeled move splits it")
     while P.state.clasps:
         a, b = P.state.clasps[0]
         info = P.do("clasp_finger", a=a, b=b)

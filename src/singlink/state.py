@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
+from string import digits
 
 from . import groups as G_
 
@@ -51,11 +52,18 @@ class Circle:
     label: object = None             # active type1 and type2 only
 
     def json_text(self, G) -> str:
-        """The circle's canonical JSON text, cached together with the group
-        it was encoded under: the label's encoding depends on the group."""
+        """The circle's canonical JSON text, the encoding of
+        `_circle_to_json` with its keys in sorted order, cached together
+        with the group it was encoded under: the label's encoding depends
+        on the group."""
         got = self.__dict__.get("_text")
         if got is None or got[0] is not G:
-            got = (G, _CANON.encode(_circle_to_json(G, self)))
+            enc = _CANON.encode
+            label = ("" if self.label is None else
+                     f',"label":{enc(G_.element_to_json(G, self.label))}')
+            role = f',"role":{enc(self.role)}' if self.kind == TYPE1 else ""
+            got = (G, f'{{"id":{enc(self.id)},"kind":{enc(self.kind)}{label},'
+                      f'"partner":{enc(self.partner)}{role}}}')
             object.__setattr__(self, "_text", got)
         return got[1]
 
@@ -110,6 +118,12 @@ class LinkState:
             n = links.setdefault(a, {}).get(b, 0) + 1
             links[a][b] = links.setdefault(b, {})[a] = n
         return links
+
+    @cached_property
+    def _free(self):
+        """Id prefix -> a bound below which every id ``f"{prefix}{i}"`` is
+        taken; a prefix with no entry has the bound 0."""
+        return {}
 
     @cached_property
     def lk(self):
@@ -171,11 +185,16 @@ class LinkState:
         return {pkey(cid, x) for x in self._links.get(cid, ())}
 
     def fresh_ids(self, count: int, prefix: str = "c"):
+        """The ``count`` smallest ids ``f"{prefix}{i}"`` that no circle
+        has.  The search starts at the prefix's bound, and raises the bound
+        to the first free id it finds."""
         # each candidate is tried once, so only the state's ids can clash
-        out, n = [], 0
+        by_id, out, n = self._by_id, [], self._free.get(prefix, 0)
         while len(out) < count:
             cid = f"{prefix}{n}"
-            if cid not in self._by_id:
+            if cid not in by_id:
+                if not out:
+                    self._free[prefix] = n
                 out.append(cid)
             n += 1
         return out
@@ -190,7 +209,9 @@ class Draft:
     and copies a clasp-count row on the first edit of that row, so it
     never changes its base.  An edit keeps every field in canonical order
     without sorting it, and edits the texts of circles and clasps the base
-    kept (see `state_hash`) at the same slots."""
+    kept (see `state_hash`) at the same slots.  The fresh-id bounds of the
+    base carry over, and a removal lowers them, so `fresh_ids` still
+    finds the smallest free ids."""
 
     circle = LinkState.circle
     read = LinkState.read
@@ -208,7 +229,7 @@ class Draft:
         self.circles, self.clasps = list(base.circles), list(base.clasps)
         self.tw = list(base.tw)
         self._by_id, self._links = dict(base._by_id), dict(base._links)
-        self._rows = set()         # the clasp-count rows copied
+        self._free = dict(base._free)
         self._flipped = set()      # the pairs whose linking the edits flipped
         texts = base.__dict__.get("_texts")
         self._texts = texts and (texts[0], list(texts[1]), list(texts[2]))
@@ -241,29 +262,51 @@ class Draft:
         del self.circles[i], self._by_id[cid]
         if self._texts is not None:
             del self._texts[1][i]
-        self.tw = [e for e in self.tw if cid not in e[0]]
+        if self.tw:
+            self.tw = [e for e in self.tw if cid not in e[0]]
+        # the id lowers the bound of each prefix it is an index of, as
+        # ``f"{prefix}{i}"``: the prefix followed by the ASCII digits of i,
+        # with no leading zero ("²".isdigit() holds, but rstrip keeps it)
+        if type(cid) is str:
+            free, end = self._free, len(cid)
+            for j in range(len(cid.rstrip(digits)), end):
+                n = free.get(cid[:j])
+                if (n and (cid[j] != "0" or j == end - 1)
+                        and end - j <= len(str(n)) and int(cid[j:]) < n):
+                    free[cid[:j]] = int(cid[j:])
 
     def set_clasp_count(self, a: str, b: str, n: int):
         """Make ``n`` clasps join ``a`` and ``b``."""
-        k = a, b = pkey(a, b)
-        was = self.clasp_count(a, b)
+        if b < a:
+            a, b = b, a
+        links = self._links
+        row = links.get(a)
+        was = row.get(b, 0) if row else 0
+        if n == was:
+            return
+        k = a, b
         lo = bisect_left(self.clasps, k)
         self.clasps[lo:lo + was] = [k] * n
         if self._texts is not None:
             self._texts[2][lo:lo + was] = [_pair_json(a, b)] * n
-        for x, y in ((a, b), (b, a)):
-            if x not in self._rows:
-                self._rows.add(x)
-                self._links[x] = dict(self._links.get(x, ()))
-            row = self._links.setdefault(x, {})
+        # a self-clasp counts once, in its circle's row
+        ends = ((a, b, row),) if a == b else ((a, b, row), (b, a, links.get(b)))
+        base = self.base._links
+        for x, y, row in ends:
+            if row is None or row is base.get(x):     # copied on its first edit
+                row = links[x] = dict(row) if row else {}
             if n:
                 row[y] = n
             else:
-                row.pop(y, None)
-            if not row:
-                del self._links[x]
+                del row[y]
+                if not row:
+                    del links[x]
         if (n - was) % 2 and a != b:
-            self._flipped ^= {k}
+            flipped = self._flipped
+            if k in flipped:
+                flipped.remove(k)
+            else:
+                flipped.add(k)
 
     def add_clasp(self, a: str, b: str):
         self.set_clasp_count(a, b, self.clasp_count(a, b) + 1)
@@ -280,7 +323,8 @@ class Draft:
                             clasps=tuple(self.clasps), tw=tuple(self.tw),
                             homology_tag=self.base.homology_tag,
                             _by_id=self._by_id, _links=self._links,
-                            lk=self.base.lk ^ self._flipped, _texts=self._texts)
+                            _free=self._free, lk=self.base.lk ^ self._flipped,
+                            _texts=self._texts)
         return new
 
 

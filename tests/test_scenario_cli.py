@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from singlink.scenario import (
 )
 from singlink.simplify import decide
 from singlink.state import state_hash
+from test_simplify import SCHAR, Z, ladder, three_cycles
 
 SCENARIOS = pathlib.Path(__file__).parent.parent / "scenarios"
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -288,17 +290,32 @@ def test_trace_json_round_trip():
     ("z4-schar",
      "bc3060904d6623ea8f0d3c58b05abd8b9dfd353d9521ffa3f060accc20e4fc0c",
      "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
+    ("ladder-64",
+     "4f38531e480024362a8719e61497a4981ec71c8bed60d026e0a39bb91b77019f",
+     "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
+    ("three-cycles",
+     "d5bc458b7bb1f28e351467ba00f13265adedc74df7025b3922d1acbd0269880d",
+     "407f74272e5327062c56fc75b2081eb658fba39d667c1b7af04f21e9ca7d4f27"),
 ])
 def test_scenario_traces_frozen(name, trace_sha, final_hash):
-    # every record of decide on a shipped scenario (move, params, steps and
-    # both hashes) is pinned, with the final state: among them type II
-    # cancellation over Z/4 and Q8
-    sc = load_scenario(path(name))
-    v = decide(sc.G, sc.ctx, sc.state)
+    # every record of decide (move, params, steps and both hashes) is
+    # pinned, with the final state: on the shipped scenarios, among them
+    # type II cancellation over Z/4 and Q8; on the 64-pair cycle, which
+    # fixes the order of the shortenings; and on three cycles whose ids
+    # use the fresh-id prefixes e and w, which fixes the order across
+    # cycles and the reuse of freed ids
+    if name == "ladder-64":
+        G, ctx, st = Z, SCHAR, ladder(64)
+    elif name == "three-cycles":
+        G, ctx, st = Z, SCHAR, three_cycles(random.Random("three-cycles"))
+    else:
+        sc = load_scenario(path(name))
+        G, ctx, st = sc.G, sc.ctx, sc.state
+    v = decide(G, ctx, st)
     text = json.dumps(trace_to_json(v.trace), sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == trace_sha
-    assert state_hash(sc.G, v.final_state) == final_hash
+    assert state_hash(G, v.final_state) == final_hash
 
 
 def test_full_cycle_trace_still_replays(capsys, tmp_path):
@@ -351,3 +368,32 @@ def test_clasped_type2_is_a_limit(capsys, tmp_path, command):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert code == 1 and err["error"] == "SimplifyError"
     assert err["message"].startswith("type II circle 's' is linked")
+
+
+def test_clasped_nontrivial_type2_is_a_framed_limit(capsys, tmp_path):
+    # under a framed dual no modeled crossing change touches a type II
+    # circle with a homologically nontrivial label and a type I circle, so
+    # the clasp (a, s) stays: decide names s before it records a move
+    state = {"circles": [
+        {"id": "a", "kind": "type1", "partner": "ap", "role": "active",
+         "label": [0]},
+        {"id": "ap", "kind": "type1", "partner": "a", "role": "inactive"},
+        {"id": "s", "kind": "type2", "partner": "s", "label": [1]},
+        {"id": "t", "kind": "type2", "partner": "t", "label": [1]}],
+        "lk": [["a", "s"]], "clasps": [["a", "s"]],
+        "tw": [[["s", "t"], 0]], "homology_tag": None}
+    f = tmp_path / "framed-clasped.json"
+    f.write_text(json.dumps({
+        "schema_version": 1, "name": "framed-clasped-type2",
+        "group": {"kind": "fg-abelian", "rank": 0, "torsion": [2],
+                  "generators": [[1]]},
+        "context": {"s_characteristic": False, "dual_sphere": "framed"},
+        "state": state, "script": []}))
+    code, payload, _ = run(capsys, "--format", "machine", "validate", str(f))
+    assert code == 0 and payload["ok"]
+    code, payload, _ = run(capsys, "--format", "machine", "invariants", str(f))
+    assert code == 0
+    code = cli.main(["--format", "machine", "decide", str(f)])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == 1 and err["error"] == "SimplifyError"
+    assert err["message"].startswith("type II circle 's' is clasped")

@@ -12,15 +12,15 @@ from singlink import groups, moves
 from singlink.groups import AbelianGroup, FiniteGroup
 from singlink.invariants import delta, mu
 from singlink.moves import apply_script
-from singlink.randwalk import q8_table, seed_state
+from singlink.randwalk import q8_table, seed_state, sweep
 from singlink.scenario import load_scenario, trace_to_json
 from singlink.simplify import (
     SimplifyError, decide, eliminate_type_II, reduce_cycle_to_label,
     reduce_to_hopf,
 )
 from singlink.state import (
-    ACTIVE, INACTIVE, TYPE1, TYPE2, Circle, Context, LinkState, pkey,
-    state_hash, validate,
+    ACTIVE, INACTIVE, TYPE1, TYPE2, Circle, Context, Draft, LinkState,
+    StateError, pkey, state_hash, validate,
 )
 
 Z = AbelianGroup(1)
@@ -65,6 +65,33 @@ def cycle_state(G, labels):
         circles += pair(f"a{i}", G.check(g))
     clasps = tuple((f"a{i}", f"a{(i + 1) % m}p") for i in range(m))
     return LinkState(circles=tuple(circles), clasps=clasps)
+
+
+def ladder(n):
+    """The n-pair cycle over Z of the scaling measurements."""
+    rng = random.Random(f"ladder-1-{n}")
+    return cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+
+
+def three_cycles(rng):
+    """Three disjoint cycles of 3-6 pairs over Z.  The circle ids mix the
+    prefix a with e and w, which the moves draw fresh ids from, and each
+    cycle passes through its pairs in random roles."""
+    sizes = [rng.randint(3, 6) for _ in range(3)]
+    n = sum(sizes)
+    ids = rng.sample([f"{p}{i}" for p in "aew" for i in range(2 * n)], 2 * n)
+    circles, clasps, k = [], [], 0
+    for m in sizes:
+        cyc = []
+        for _ in range(m):
+            act, inact = ids[k], ids[k + 1]
+            k += 2
+            circles += [Circle(act, TYPE1, inact, ACTIVE, (rng.randint(-3, 3),)),
+                        Circle(inact, TYPE1, act, INACTIVE)]
+            cyc.append(rng.choice([(act, inact), (inact, act)]))
+        # each entry links the dual of the next one
+        clasps += [(x, cyc[(i + 1) % m][1]) for i, (x, _) in enumerate(cyc)]
+    return LinkState(circles=tuple(circles), clasps=tuple(clasps))
 
 
 class TestEliminateTypeII:
@@ -324,9 +351,7 @@ class TestDecide:
         # decide: of the states a trace passes through, at most the last
         # record's stay alive
         if case == "cycle64":
-            rng = random.Random("ladder-1-64")
-            G, ctx = Z, SCHAR
-            st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(64)])
+            G, ctx, st = Z, SCHAR, ladder(64)
         elif case == "q8-typeII":
             sc = load_scenario(str(SCENARIOS / "q8-typeII.json"))
             G, ctx, st = sc.G, sc.ctx, sc.state
@@ -362,8 +387,7 @@ class TestDecide:
         calls, real = [], groups.element_to_json
         monkeypatch.setattr(groups, "element_to_json",
                             lambda G, g: calls.append(g) or real(G, g))
-        rng = random.Random(f"ladder-1-{n}")
-        st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+        st = ladder(n)
         v = decide(Z, SCHAR, st)
         assert len(calls) <= 4 * len(v.trace)
 
@@ -375,8 +399,7 @@ class TestDecide:
         calls, real = [], Circle.json_text
         monkeypatch.setattr(Circle, "json_text",
                             lambda c, G: calls.append(c.id) or real(c, G))
-        rng = random.Random(f"ladder-1-{n}")
-        st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+        st = ladder(n)
         v = decide(Z, SCHAR, st)
         assert v.outcome == "Concordant"
         assert len(calls) <= 6 * len(v.trace)
@@ -385,10 +408,74 @@ class TestDecide:
         # a shortening names two entries of its cycle, not the whole cycle,
         # so the trace file costs the same per recorded move at every n
         def bytes_per_move(n):
-            rng = random.Random(f"ladder-1-{n}")
-            st = cycle_state(Z, [(rng.randint(-3, 3),) for _ in range(n)])
+            st = ladder(n)
             v = decide(Z, SCHAR, st)
             text = json.dumps(trace_to_json(v.trace), indent=2, sort_keys=True)
             return len(text) / len(v.trace)
 
         assert bytes_per_move(128) <= 1.25 * bytes_per_move(32)
+
+
+def smallest_free(d, count, prefix):
+    """The first ``count`` ids ``f"{prefix}{i}"`` that no circle of ``d``
+    has, by a scan from index 0."""
+    out, i = [], 0
+    while len(out) < count:
+        cid = f"{prefix}{i}"
+        try:
+            d.circle(cid)
+        except StateError:
+            out.append(cid)
+        i += 1
+    return out
+
+
+def odd_ids():
+    """A cycle of four pairs, some of whose ids look like indexes of the
+    prefix e but are none: e01, e² and e."""
+    ids = [("e", "e01"), ("e²", "e1"), ("e0", "e3"), ("a0", "e5")]
+    circles = [c for i, (a, b) in enumerate(ids)
+               for c in (Circle(a, TYPE1, b, ACTIVE, (i,)),
+                         Circle(b, TYPE1, a, INACTIVE))]
+    return LinkState(circles=tuple(circles), clasps=tuple(
+        (a, ids[(i + 1) % 4][1]) for i, (a, _) in enumerate(ids)))
+
+
+@pytest.mark.parametrize("case", ["ladder-64", "add_hopf_pair", "sweep",
+                                  "odd-ids"])
+def test_fresh_ids_are_the_smallest_free(case, monkeypatch):
+    # a draft starts its id search at bounds carried from state to state,
+    # and finds the ids a scan from index 0 finds
+    real, prefixes = Draft.fresh_ids, []
+
+    def checked(d, count, prefix="c"):
+        got = real(d, count, prefix)
+        assert got == smallest_free(d, count, prefix), prefix
+        prefixes.append(prefix)
+        return got
+
+    monkeypatch.setattr(Draft, "fresh_ids", checked)
+    if case == "ladder-64":
+        assert decide(Z, SCHAR, ladder(64)).outcome == "Concordant"
+    elif case == "add_hopf_pair":
+        # a 200-letter word
+        moves.MOVES["add_hopf_pair"](Z, SCHAR, LinkState(), g=(200,))
+    elif case == "sweep":
+        assert sweep(seed=0, count=200).ok
+    else:
+        v = decide(Z, SCHAR, odd_ids())
+        final, _ = apply_script(Z, SCHAR, odd_ids(), v.trace)
+        assert state_hash(Z, final) == state_hash(Z, v.final_state)
+    assert len(prefixes) >= 10
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_stage3_does_not_rescan(n, monkeypatch):
+    # stage 3 keeps the pairs still to shorten in a heap instead of
+    # listing the pairs again for each shortening
+    calls, real = [], LinkState.pairs
+    monkeypatch.setattr(LinkState, "pairs",
+                        lambda s: calls.append(1) or real(s))
+    v = decide(Z, SCHAR, ladder(n))
+    assert sum(r.move == "shorten_cycle" for r in v.trace) >= 2 * n - 1
+    assert len(calls) <= 8

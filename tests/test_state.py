@@ -265,6 +265,9 @@ def assert_indexes_rebuilt(st):
     assert st == rebuilt
     for name in INDEXES:
         assert getattr(st, name) == getattr(rebuilt, name), name
+    # every fresh id below a prefix's bound is taken
+    for prefix, n in st._free.items():
+        assert all(f"{prefix}{i}" in st._by_id for i in range(n)), prefix
     ids = [c.id for c in st.circles]
     for a in ids:
         assert st.linked_ids(a) == rebuilt.linked_ids(a), a
@@ -440,6 +443,49 @@ def test_fresh_ids_skip_used_ids():
     st = LinkState(circles=tuple(pair("c0") + pair("c2")))
     assert st.fresh_ids(3) == ["c1", "c3", "c4"]
     assert st.fresh_ids(2, "c2") == ["c20", "c21"]
+
+
+def test_fresh_id_bounds_follow_removals():
+    # a removed id lowers the bound of each prefix it is an index of;
+    # e01 (an f-string writes no leading zero), e² ("²".isdigit() holds,
+    # but int("²") raises), e and a 5000-digit index are no index of e
+    long = "e" + "1" * 5000
+    ids = [("e0", "e1"), ("e2", "e"), ("e01", "e²"), ("e00", long)]
+    d = Draft(LinkState(circles=tuple(
+        c for a, b in ids for c in (Circle(a, TYPE1, b, ACTIVE, (0,)),
+                                    Circle(b, TYPE1, a, INACTIVE)))))
+    assert d.fresh_ids(2, "e") == ["e3", "e4"]
+    assert d.fresh_ids(1, "e0") == ["e02"]
+    assert d._free == {"e": 3, "e0": 2}
+    d.remove_circle("e01")                  # e01 is index 1 of e0
+    assert d._free == {"e": 3, "e0": 1}
+    for cid in ("e²", "e", long):
+        d.remove_circle(cid)
+        assert d._free == {"e": 3, "e0": 1}
+    d.remove_circle("e1")
+    assert d._free == {"e": 1, "e0": 1}
+    st = d.freeze()
+    assert st.fresh_ids(3, "e") == ["e1", "e3", "e4"]
+    assert st.fresh_ids(1, "e0") == ["e01"]
+    assert Draft(st).fresh_ids(1, "e") == ["e1"]
+
+
+@pytest.mark.parametrize("c", [
+    Circle("x", TYPE1, "xp", ACTIVE, (3,)),
+    Circle("xp", TYPE1, "x", INACTIVE),
+    Circle("s", TYPE2, "s", None, (1,)),
+    Circle('q"\\☃', TYPE1, "été", ACTIVE, (-4,)),
+    # invalid circles, which validate rejects
+    Circle(7, TYPE2, 7, None, (1,)),
+    Circle("x", TYPE1, "y", None, None),
+    Circle("x", TYPE1, "y", INACTIVE, (2,)),
+    Circle("s", TYPE2, "t", ACTIVE, (1,)),
+    Circle("x", "bogus", None, "r", (5,)),
+    Circle(1.5, TYPE1, ("a", 2), True, (0,)),
+])
+def test_circle_text_of_any_circle(c):
+    assert c.json_text(Z) == json.dumps(state_mod._circle_to_json(Z, c),
+                                        sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("bad", [
