@@ -10,7 +10,8 @@ Two representations are supported:
 
 Both expose the same duck-typed surface: ``identity``, ``mul``, ``inv``,
 ``two_torsion``, ``eps`` (reduction to H_1 of the ambient space with Z/2
-coefficients) and ``balanced_word``.
+coefficients), ``square_roots`` (roots y_i with g = y_1^2 ... y_m^2, for g in
+the kernel of ``eps``) and ``balanced_word``.
 """
 
 from __future__ import annotations
@@ -130,6 +131,22 @@ class FiniteGroup:
     def eps(self, g):
         d, coset, coords = self._h1_setup()
         return coords[coset[self.check(g)]].astype(np.uint8)
+
+    def square_roots(self, g):
+        """Fewest roots y_1..y_m with g = y_1^2 ... y_m^2 (``[0]`` for the
+        identity); BFS from 0 by right multiplication by the squares."""
+        g, rows = self.check(g), self._rows
+        roots = {rows[y][y]: y for y in range(self.n - 1, -1, -1)}
+        paths, q = {0: []}, deque([0])
+        while q and g not in paths:
+            x = q.popleft()
+            for s, y in roots.items():
+                if rows[x][s] not in paths:
+                    paths[rows[x][s]] = paths[x] + [y]
+                    q.append(rows[x][s])
+        if g not in paths:
+            raise GroupError("element is not a product of squares")
+        return paths[g] or [0]
 
     # -- balanced words ----------------------------------------------------
     def balanced_word(self, x):
@@ -263,12 +280,16 @@ class AbelianGroup:
             word.extend([(i, 1 if c > 0 else -1)] * abs(int(c)))
         return word + word
 
+    def square_roots(self, g):
+        """``[y]`` with g = 2y."""
+        return [self._half(self.check(g))]
+
     def _half(self, x):
         out = []
         for i, c in enumerate(x):
             if i < self.rank:
                 if c % 2:
-                    raise GroupError("free coordinates must be even for a balanced word")
+                    raise GroupError("not twice an element: a free coordinate is odd")
                 out.append(c // 2)
             else:
                 n = self.torsion[i - self.rank]
@@ -276,7 +297,7 @@ class AbelianGroup:
                     out.append((c * pow(2, -1, n)) % n)
                 else:
                     if c % 2:
-                        raise GroupError("even-torsion coordinate is odd; no balanced word")
+                        raise GroupError("not twice an element: an even-order coordinate is odd")
                     out.append(c // 2)
         return self._normal(tuple(out))
 

@@ -460,36 +460,18 @@ def _add_hopf_pair(G, ctx, d, g):
     g = G.check(g)
     if not _eps0(G, g):
         raise MoveError("element is homologically nontrivial mod 2")
-    ik = G.element_key(G.identity)
-    if G.element_key(g) == ik:
-        word = [(None, 1), (None, 1)]
-    else:
-        word = [(i, e) for i, e in G.balanced_word(g)]
     r = _Runner(G, ctx, d)
-    # insert one split pair per two word letters sharing a generator, then
-    # split each into two Hopf pairs (Fig-19 style) and merge in word order
-    pending = {}
-    slot = [None] * len(word)
-    for pos, (i, e) in enumerate(word):
-        if i in pending and pending[i]:
-            slot[pos] = pending[i].pop()
-            continue
-        gen = G.identity if i is None else G.check(G.generators[i])
-        info = r.do("trivial_finger", g=gen)
-        U, Up = info["spawned"]
+    # g = y_1^2 ... y_m^2: split a trivial pair labelled y_i into two Hopf
+    # pairs (Fig-19 style) for each root, then merge them last first
+    pairs = []
+    for y in G.square_roots(g):
+        U, Up = r.do("trivial_finger", g=y)["spawned"]
         info = r.do("whitney_move",
                     spec={"a": U, "b": Up, "mode": "inverse", "nu": 1, "clean": True})
-        (p1, _), (p2, _) = info["outputs"]
-        slot[pos] = p1
-        pending.setdefault(i, []).append(p2)
-    for pos, (i, e) in enumerate(word):
-        if e == -1:
-            info = r.do("flip_activity", a=slot[pos])
-            slot[pos] = info["active"]
-    cur = slot[-1]
-    for pos in range(len(word) - 2, -1, -1):
-        info = r.do("merge_hopf_pairs", a=cur, b=slot[pos])
-        cur = info["outputs"][0]
+        pairs += [p for p, _ in info["outputs"]]
+    cur = pairs.pop()
+    while pairs:
+        cur = r.do("merge_hopf_pairs", a=cur, b=pairs.pop())["outputs"][0]
     return {"steps": r.steps, "active": cur}
 
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from singlink.groups import (
     element_from_json, group_from_json, group_to_json,
 )
 from singlink.randwalk import q8_table, standard_groups
+from test_acceptance import _small_groups
 
 
 def klein_table():
@@ -149,6 +151,15 @@ def dihedral_table(m):
     k = np.where(bx[None, :] == 0, a[:, None] + a[None, :],
                  a[None, :] - a[:, None])
     return (bx[:, None] ^ bx[None, :]) * m + k % m
+
+
+def a4_table():
+    # the even permutations of 0..3, identity first; index a * b is the
+    # composite "b, then a"
+    perms = sorted(p for p in itertools.permutations(range(4))
+                   if sum(x > y for x, y in itertools.combinations(p, 2)) % 2 == 0)
+    idx = {p: i for i, p in enumerate(perms)}
+    return [[idx[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms]
 
 
 def squares_and_commutators(t):
@@ -316,3 +327,34 @@ def test_balanced_word_properties(name, data):
 def test_balanced_word_needs_even_free_part():
     with pytest.raises(GroupError):
         AbelianGroup(1).balanced_word((3,))
+
+
+@pytest.mark.parametrize("name", ["acceptance", "A4", "C255"])
+def test_square_roots_multiply_back(name):
+    # every kernel element of eps is a product of squares, with one square
+    # exactly when it is one; the identity is its own root's square
+    groups = (_small_groups().values() if name == "acceptance" else
+              [FiniteGroup(a4_table() if name == "A4" else cyclic_table(255))])
+    for G in groups:
+        squares = {G.element_key(G.mul(y, y)) for y in G.elements()}
+        for g in G.elements():
+            if np.any(G.eps(g)):
+                with pytest.raises(GroupError):
+                    G.square_roots(g)
+                continue
+            roots = G.square_roots(g)
+            acc = G.identity
+            for y in roots:
+                acc = G.mul(acc, G.mul(y, y))
+            assert G.element_key(acc) == G.element_key(g)
+            assert (len(roots) == 1) == (G.element_key(g) in squares)
+
+
+def test_square_roots_are_fewest():
+    # in A4 the squares are the identity and the 3-cycles, so a double
+    # transposition is a product of two squares and of no fewer
+    G = FiniteGroup(a4_table())
+    for g in G.two_torsion():
+        assert len(G.square_roots(g)) == 2
+    assert G.square_roots(0) == [0]
+    assert AbelianGroup(1).square_roots((10 ** 12,)) == [(5 * 10 ** 11,)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from singlink import state as state_mod
-from singlink.groups import AbelianGroup
+from singlink.groups import AbelianGroup, FiniteGroup
 from singlink.invariants import delta, mu
 from singlink.moves import (
     MOVES, MoveError, ScriptError, WhitneySpec, apply_move, apply_script,
@@ -25,7 +25,10 @@ from singlink.state import (
     Circle, Context, Draft, LinkState, pkey, state_hash, validate,
 )
 
+from test_groups import a4_table
+
 Z = AbelianGroup(1)
+A4 = FiniteGroup(a4_table())
 CTX = Context()
 SCHAR = Context(s_characteristic=True, dual_sphere="unframed")
 
@@ -262,6 +265,14 @@ class TestComposites:
         assert post.linking(act.id, act.partner) == 1
         assert validate(G, CTX, post).ok
 
+    @pytest.mark.parametrize("k", [0, 2, 2 * 10 ** 3, 2 * 10 ** 6, 10 ** 12])
+    def test_add_hopf_pair_steps_do_not_grow(self, k):
+        # over Z, g = 2y is one square: a trivial finger, a split and a merge
+        _, rec = apply_move(Z, CTX, LinkState(), "add_hopf_pair", {"g": (k,)})
+        assert [n for n, _ in rec.steps] == [
+            "trivial_finger", "whitney_move", "merge_hopf_pairs"]
+        assert rec.steps[0][1] == {"g": [k // 2]}
+
     def test_add_hopf_pair_rejects_essential_class(self):
         with pytest.raises(MoveError):
             MOVES["add_hopf_pair"](Z, CTX, LinkState(), g=(1,))
@@ -382,11 +393,16 @@ class TestFreshIds:
 
 
 class TestDraft:
-    @pytest.mark.parametrize("g,letters", [((0,), 2), ((40,), 40)])
-    def test_composite_freezes_once(self, monkeypatch, g, letters):
+    @pytest.mark.parametrize("g,steps", [
+        ((0,), 2),
+        # not a square: the product of two, in seven steps
+        pytest.param(A4.two_torsion()[0], 6, id="a4-double-transposition"),
+    ])
+    def test_composite_freezes_once(self, monkeypatch, g, steps):
         # a composite runs every primitive step on its one draft, and its
         # registry entry freezes that draft into the one state it builds,
-        # whatever the length of the word it realizes
+        # whatever the number of squares it multiplies
+        G = Z if isinstance(g, tuple) else A4
         counts = Counter()
 
         def counting(key, fn):
@@ -399,10 +415,10 @@ class TestDraft:
         monkeypatch.setattr(Draft, "freeze", counting("freezes", Draft.freeze))
         monkeypatch.setattr(LinkState, "__init__",
                             counting("inits", LinkState.__init__))
-        post, rec = apply_move(Z, CTX, st, "add_hopf_pair", {"g": g})
-        assert len(rec.steps) > letters
+        post, rec = apply_move(G, CTX, st, "add_hopf_pair", {"g": g})
+        assert len(rec.steps) > steps
         assert counts == {"drafts": 1, "freezes": 1}
-        assert validate(Z, CTX, post).ok
+        assert validate(G, CTX, post).ok
 
     @staticmethod
     def assert_intact(G, st):

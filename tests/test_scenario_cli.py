@@ -276,7 +276,7 @@ def test_trace_json_round_trip():
 
 @pytest.mark.parametrize("name,trace_sha,final_hash", [
     ("b3s1-even",
-     "cc93be74efcb6c9d68b867410eb96b807e8a8eea94e73a7f781133a322202870",
+     "4fbc636016ddb5c891999bc659c23e8efd7aa1b2a043cab9081669d32c0896c7",
      "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
     ("b3s1-odd",
      "d0252156796b384f1b5e3a86fb9879500677b7cea682f4744e5c2b91ffb815ee",
@@ -291,7 +291,7 @@ def test_trace_json_round_trip():
      "bc3060904d6623ea8f0d3c58b05abd8b9dfd353d9521ffa3f060accc20e4fc0c",
      "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
     ("ladder-64",
-     "4f38531e480024362a8719e61497a4981ec71c8bed60d026e0a39bb91b77019f",
+     "ae61a4770a9dd84f55e99db3d826087070f6b40ec255d1972012893ab8fa5bb9",
      "6c2bfad4d71c8051f334f1ed16f707d6069e5e68596f35fee8dd80fc3b5cedde"),
     ("three-cycles",
      "d5bc458b7bb1f28e351467ba00f13265adedc74df7025b3922d1acbd0269880d",
@@ -320,9 +320,10 @@ def test_scenario_traces_frozen(name, trace_sha, final_hash):
 
 def test_full_cycle_trace_still_replays(capsys, tmp_path):
     # cycle-n8-trace.json was written by `decide --trace-out` when a
-    # shortening listed its whole cycle: `apply --script` replays it with
-    # every hash checked, and decide now records the same moves and hashes
-    # with the first two entries of each cycle only
+    # shortening listed its whole cycle and add_hopf_pair expanded a
+    # generator word: `apply --script` replays it with every hash checked,
+    # and decide now records the same moves and hashes with the first two
+    # entries of each cycle only
     sc, old_file = FIXTURES / "cycle-n8.json", FIXTURES / "cycle-n8-trace.json"
     old = json.loads(old_file.read_text())
     assert max(len(e["params"]["actives"]) for e in old["script"]
@@ -339,7 +340,19 @@ def test_full_cycle_trace_still_replays(capsys, tmp_path):
     for e in old["script"]:
         if e["move"] == "shorten_cycle":
             e["params"]["actives"] = e["params"]["actives"][:2]
-    assert json.loads(new_file.read_text()) == old
+    # add_hopf_pair now expands g = y^2 as one split and one merge instead
+    # of a generator word; its moves, params and hashes are unchanged
+    new = json.loads(new_file.read_text())
+    hopf = [e for e in new["script"] if e["move"] == "add_hopf_pair"]
+    assert hopf
+    for e in hopf:
+        assert [s["move"] for s in e["steps"]] == [
+            "trivial_finger", "whitney_move", "merge_hopf_pairs"]
+        assert [2 * y for y in e["steps"][0]["params"]["g"]] == e["params"]["g"]
+    for e in old["script"] + hopf:
+        if e["move"] == "add_hopf_pair":
+            del e["steps"]
+    assert new == old
 
 
 @pytest.mark.parametrize("command", ["decide", "simplify"])
@@ -397,3 +410,38 @@ def test_clasped_nontrivial_type2_is_a_framed_limit(capsys, tmp_path):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert code == 1 and err["error"] == "SimplifyError"
     assert err["message"].startswith("type II circle 's' is clasped")
+
+
+def test_many_listed_generators(capsys, tmp_path):
+    # add_hopf_pair reads no generators: a table with 17 listed generators
+    # decides like any other (it raised "at most 16 generators supported")
+    n = 255
+    sc = json.loads(pathlib.Path(path("s3s1")).read_text())
+    sc["group"] = {"kind": "finite-table",
+                   "table": [[(i + j) % n for j in range(n)] for i in range(n)],
+                   "generators": list(range(1, 18))}
+    sc["context"].update(s_characteristic=True, dual_sphere="unframed")
+    sc["state"]["circles"][0]["label"] = 7
+    f = tmp_path / "c255-17-generators.json"
+    f.write_text(json.dumps(sc))
+    code, payload, _ = run(capsys, "--format", "machine", "validate", str(f))
+    assert code == 0 and payload["ok"]
+    code, payload, _ = run(capsys, "--format", "machine", "decide", str(f))
+    assert code == 0 and payload["outcome"] == "Concordant"
+
+
+def test_large_label_decides_in_six_moves(capsys, tmp_path):
+    # one Hopf pair with the label [10^12]: add_hopf_pair realizes its
+    # inverse as one square, so the trace does not grow with the label
+    sc = json.loads(pathlib.Path(path("s3s1")).read_text())
+    sc["context"].update(s_characteristic=True, dual_sphere="unframed")
+    sc["state"]["circles"][0]["label"] = [10 ** 12]
+    f, trace = tmp_path / "label-1e12.json", tmp_path / "trace.json"
+    f.write_text(json.dumps(sc))
+    code, payload, _ = run(capsys, "--format", "machine", "--trace-out",
+                           str(trace), "decide", str(f))
+    assert code == 0 and payload["outcome"] == "Concordant"
+    assert payload["moves"] == 6
+    code, replayed, _ = run(capsys, "--format", "machine", "apply", str(f),
+                            "--script", str(trace))
+    assert code == 0 and replayed["final_hash"] == payload["final_hash"]

@@ -458,8 +458,10 @@ def test_fresh_ids_are_the_smallest_free(case, monkeypatch):
     if case == "ladder-64":
         assert decide(Z, SCHAR, ladder(64)).outcome == "Concordant"
     elif case == "add_hopf_pair":
-        # a 200-letter word
-        moves.MOVES["add_hopf_pair"](Z, SCHAR, LinkState(), g=(200,))
+        # twelve pairs added to one growing state, each drawing u, w and m ids
+        st = LinkState()
+        for k in range(12):
+            st, _ = moves.MOVES["add_hopf_pair"](Z, SCHAR, st, g=(2 * k,))
     elif case == "sweep":
         assert sweep(seed=0, count=200).ok
     else:
