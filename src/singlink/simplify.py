@@ -169,62 +169,60 @@ def reduce_to_hopf(G, ctx, state):
 
 # -- exact cycle reduction --------------------------------------------------
 #
-# one shortening step merges the first two pairs of the presented cycle and
-# the merged circle reads the inverse of their product; which product shows
-# up is steered by choosing the rotation of the cycle before each step.
+# one shortening merges two neighbouring entries of the cycle, and the merged
+# entry reads the inverse of their product.  So a run of shortenings
+# brackets the cycle, read from some entry, with x, y -> (xy)^-1; R[i, n]
+# holds every element that the arc of n entries from entry i merges to.
+# The last pair reaches its entry's element and, by a flip, the inverse.
 # Walking the cycle the other way round (through the partners, reading
-# inverse labels) reaches nothing more: the reachable sets are closed under
-# inversion
-
-def _reach_fn(G):
-    memo = {}
-
-    def go(cyc):
-        key = tuple(G.element_key(h) for h in cyc)
-        if key in memo:
-            return memo[key]
-        if len(cyc) == 1:
-            out = frozenset({G.element_key(cyc[0]),
-                             G.element_key(G.inv(cyc[0]))})
-        else:
-            out = set()
-            for r in range(len(cyc)):
-                p = cyc[r:] + cyc[:r]
-                out |= go((G.inv(G.mul(p[0], p[1])),) + p[2:])
-            out = frozenset(out)
-        memo[key] = out
-        return out
-
-    return go
-
+# inverse labels) reaches nothing more, so one walk from any circle serves
 
 def reduce_cycle_to_label(G, ctx, state, target):
     """Shorten the state's single cycle of Hopf links all the way down,
-    presenting each step so the final pair carries exactly ``target``;
-    a state that is not one such cycle raises SimplifyError."""
+    bracketing it so the final pair carries exactly ``target``; a state
+    that is not one such cycle raises SimplifyError."""
     cs = state.circles
     if (not cs or any(c.kind != TYPE1 or len(state.linked_ids(c.id)) != 1
                       for c in cs)
-            or 2 * len(_walk(state, cs[0].id)) != len(cs)):
+            or 2 * len(entry := _walk(state, cs[0].id)) != len(cs)):
         raise SimplifyError("the state is not one cycle of type I pairs, "
                             "each circle linking exactly one other")
     target = G.check(target)
-    tk = G.element_key(target)
-    reach = _reach_fn(G)
+    m = len(entry)
+    # R[i, n] keys checked elements, so an unreduced label meets its normal
+    # form; each maps to a split (k, x, y): the arc's first k entries merge
+    # to x and the other n - k to y
+    R = {(i, 1): {G.check(state.read(G, x)): None} for i, x in enumerate(entry)}
+    for n in range(2, m + 1):
+        for i in range(m):
+            out = R[i, n] = {}
+            for k in range(1, n):
+                right = R[(i + k) % m, n - k]
+                for x in R[i, k]:
+                    for y in right:
+                        out.setdefault(G.inv(G.mul(x, y)), (k, x, y))
+    todo = [(i, m, g) for i in range(m) for g in (target, G.inv(target))
+            if g in R[i, m]][:1]
+    if not todo:
+        raise SimplifyError("target label is not realizable from this cycle")
+    # the merges root first, each before its right then its left arc; so
+    # reversed, every merge follows the merges inside its two arcs
+    merges = []
+    while todo:
+        i, n, g = todo.pop()
+        if split := R[i, n][g]:
+            k, x, y = split
+            merges.append((i, k, n))
+            todo += [(i, k, x), ((i + k) % m, n - k, y)]
     P = Recorder(G, ctx, state)
-    while True:
-        ids = _walk(P.state, P.state.circles[0].id)
-        if len(ids) == 1:
-            break
-        for rot in range(len(ids)):
-            pres = ids[rot:] + ids[:rot]
-            t = tuple(P.state.read(G, x) for x in pres)
-            if tk in reach((G.inv(G.mul(t[0], t[1])),) + t[2:]):
-                break
-        else:
-            raise SimplifyError("target label is not realizable from this cycle")
-        P.do("shorten_cycle", actives=pres[:2])
+    for i, k, n in reversed(merges):
+        P.do("shorten_cycle", actives=[entry[i], entry[(i + k) % m]])
+        if n < m:
+            # the merged entry is the one circle linking the next dual
+            nxt = P.state.circle(entry[(i + n) % m]).partner
+            entry[i] = P.state.linked_ids(nxt)[0]
     act = P.state.pairs()[0][0]
+    tk = G.element_key(target)
     if G.element_key(act.label) != tk:
         if G.element_key(G.inv(act.label)) != tk:
             raise SimplifyError("cycle reduction missed the target label")
@@ -303,7 +301,16 @@ def decide(G, ctx: Context, state: LinkState) -> Verdict:
         return Verdict("Concordant", trace=P.trace, final_state=P.state,
                        reason="unknotted after clasp elimination")
 
-    st, trace = eliminate_type_II(G, ctx, state)
+    try:
+        st, trace = eliminate_type_II(G, ctx, state)
+    except SimplifyError:
+        # an obstruction needs no proof: km is read off the input, so a
+        # state no modeled move simplifies is still obstructed when km is
+        kmc = km(G, ctx, state)
+        if kmc.is_zero:
+            raise
+        return Verdict("Obstructed-km", witness=kmc, final_state=state,
+                       reason="km is nonzero")
     st, tr2, label = reduce_to_hopf(G, ctx, st)
     trace = _joined(trace, tr2)
     if not np.any(G.eps(label)):

@@ -383,6 +383,29 @@ def test_clasped_type2_is_a_limit(capsys, tmp_path, command):
     assert err["message"].startswith("type II circle 's' is linked")
 
 
+def test_clasped_type2_with_nonzero_km_is_obstructed(capsys, tmp_path):
+    # the same limit with the pair labelled [1]: km of the input is
+    # nonzero, so decide answers with the obstruction and records no move
+    f = str(FIXTURES / "limit-km.json")
+    code, payload, _ = run(capsys, "--format", "machine", "invariants", f)
+    assert payload["km"] == {"is_zero": False, "rep": [1]}
+    sc = load_scenario(f)
+    trace_file = tmp_path / "trace.json"
+    code, payload, _ = run(capsys, "--format", "machine", "--trace-out",
+                           str(trace_file), "decide", f)
+    assert code == 2 and payload["outcome"] == "Obstructed-km"
+    assert payload["class"] == {"is_zero": False, "rep": [1]}
+    assert payload["moves"] == 0
+    assert payload["final_hash"] == state_hash(sc.G, sc.state)
+    code, payload, _ = run(capsys, "--format", "machine", "apply", f,
+                           "--script", str(trace_file))
+    assert code == 0 and payload["final_hash"] == state_hash(sc.G, sc.state)
+    # simplify has no verdict to give, so it still stops at the limit
+    code = cli.main(["--format", "machine", "simplify", f])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == 1 and err["error"] == "SimplifyError"
+
+
 def test_clasped_nontrivial_type2_is_a_framed_limit(capsys, tmp_path):
     # under a framed dual no modeled crossing change touches a type II
     # circle with a homologically nontrivial label and a type I circle, so

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import time
 import weakref
 from itertools import combinations, product
 from pathlib import Path
@@ -57,13 +58,16 @@ def type2_state(G, labels, tw=None):
     return LinkState(circles=tuple(cs), tw=tuple(table))
 
 
-def cycle_state(G, labels):
-    """m Hopf pairs whose linking relation is one cycle a_i -> dual(a_{i+1})."""
+def cycle_state(G, labels, flipped=()):
+    """m Hopf pairs whose linking relation is one cycle a_i -> dual(a_{i+1}).
+    The cycle enters the pairs in ``flipped`` at their inactive circle."""
     m = len(labels)
     circles = []
     for i, g in enumerate(labels):
         circles += pair(f"a{i}", G.check(g))
-    clasps = tuple((f"a{i}", f"a{(i + 1) % m}p") for i in range(m))
+    entry = [f"a{i}p" if i in flipped else f"a{i}" for i in range(m)]
+    dual = [f"a{i}" if i in flipped else f"a{i}p" for i in range(m)]
+    clasps = tuple((entry[i], dual[(i + 1) % m]) for i in range(m))
     return LinkState(circles=tuple(circles), clasps=clasps)
 
 
@@ -216,6 +220,45 @@ class TestReduceToHopf:
         assert state_hash(G, final) == state_hash(G, post)
 
 
+def rotation_reach(G, reads):
+    """Every label that a cycle reading ``reads`` shortens to, found by
+    trying every rotation of the cycle before every merge."""
+    memo = {}
+
+    def go(cyc):
+        if cyc not in memo:
+            if len(cyc) == 1:
+                memo[cyc] = {cyc[0], G.inv(cyc[0])}
+            else:
+                memo[cyc] = set()
+                for r in range(len(cyc)):
+                    p = cyc[r:] + cyc[:r]
+                    memo[cyc] |= go((G.inv(G.mul(p[0], p[1])),) + p[2:])
+        return memo[cyc]
+
+    return go(tuple(reads))
+
+
+def reached(G, st):
+    """The elements that reduce_cycle_to_label reaches on ``st``.  Each
+    trace holds m - 1 shortenings and at most one flip, and replays."""
+    m = len(st.circles) // 2
+    out = set()
+    for t in G.elements():
+        try:
+            post, trace = reduce_cycle_to_label(G, SCHAR, st, t)
+        except SimplifyError:
+            continue
+        out.add(t)
+        moves = [r.move for r in trace]
+        assert moves.count("shorten_cycle") == m - 1
+        assert len(moves) - (m - 1) == moves.count("flip_activity") <= 1
+        assert G.element_key(post.pairs()[0][0].label) == G.element_key(t)
+        final, _ = apply_script(G, SCHAR, st, trace)
+        assert state_hash(G, final) == state_hash(G, post)
+    return out
+
+
 class TestExactCycleReduction:
     @pytest.mark.parametrize("labels", [
         (2, 4), (2, 4, 6), (1, 2, 4, 3), (2, 2, 4, 4, 6),
@@ -245,6 +288,60 @@ class TestExactCycleReduction:
         assert validate(G, SCHAR, state).ok
         with pytest.raises(SimplifyError):
             reduce_cycle_to_label(G, SCHAR, state, G.identity)
+
+    @pytest.mark.parametrize("name", ["Q8", "D4"])
+    def test_reaches_what_every_rotation_reaches(self, name):
+        # every cycle with m <= 2 and ten sampled cycles of each m = 3-6,
+        # in random roles: a walk from a flipped a0 runs the other way round
+        from test_acceptance import _small_groups
+        G = _small_groups()[name]
+        rng = random.Random(f"rotations-{name}")
+        cases = [c for m in (1, 2) for c in product(range(8), repeat=m)]
+        cases += [[rng.randrange(8) for _ in range(m)]
+                  for m in range(3, 7) for _ in range(10)]
+        for labels in cases:
+            flipped = {i for i in range(len(labels)) if rng.random() < 0.5}
+            reads = [G.inv(g) if i in flipped else g
+                     for i, g in enumerate(labels)]
+            st = cycle_state(G, labels, flipped)
+            assert reached(G, st) == rotation_reach(G, reads), labels
+
+    @pytest.mark.parametrize("labels", [
+        [(-7,)], [(-7,), (6,)], [(-7,), (-1,), (13,)],
+    ])
+    def test_unreduced_labels(self, labels):
+        # labels that Z/4 reduces only when they are checked
+        circles = [c for i, g in enumerate(labels) for c in pair(f"a{i}", g)]
+        m = len(labels)
+        st = LinkState(circles=tuple(circles), clasps=tuple(
+            (f"a{i}", f"a{(i + 1) % m}p") for i in range(m)))
+        assert validate(Z4, SCHAR, st).ok
+        reads = [Z4.check(g) for g in labels]
+        assert reached(Z4, st) == rotation_reach(Z4, reads)
+
+    def test_single_pair(self):
+        st = cycle_state(Q8, [2])
+        _, trace = reduce_cycle_to_label(Q8, SCHAR, st, 2)
+        assert trace == []
+        post, trace = reduce_cycle_to_label(Q8, SCHAR, st, Q8.inv(2))
+        assert [r.move for r in trace] == ["flip_activity"]
+        assert post.pairs()[0][0].label == Q8.inv(2)
+        for t in set(Q8.elements()) - {2, Q8.inv(2)}:
+            with pytest.raises(SimplifyError):
+                reduce_cycle_to_label(Q8, SCHAR, st, t)
+
+    def test_long_q8_cycle_is_fast(self):
+        rng = random.Random(32)
+        labels = [rng.randrange(8) for _ in range(32)]
+        target = Q8.identity
+        for g in labels:
+            target = Q8.mul(g, target)
+        t0 = time.perf_counter()
+        post, trace = reduce_cycle_to_label(Q8, SCHAR, cycle_state(Q8, labels),
+                                            target)
+        assert time.perf_counter() - t0 < 2.0
+        assert post.pairs()[0][0].label == target
+        assert len(trace) <= 32
 
     def test_unreachable_target_raises(self):
         # a cycle of commuting labels can only reach the products of its
