@@ -31,7 +31,9 @@ def _emit(args, human_lines, payload):
 def _write_trace(args, trace):
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
-            json.dump(scenario.trace_to_json(trace), fh, indent=2, sort_keys=True)
+            # one write: json.dump writes each small chunk on its own
+            fh.write(json.dumps(scenario.trace_to_json(trace), indent=2,
+                                sort_keys=True))
 
 
 # a violation of a check that the group or the invariants own is raised as

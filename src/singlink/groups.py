@@ -24,6 +24,7 @@ import numpy as np
 
 MAX_TABLE_ORDER = 255
 MAX_GENERATORS = 16
+_INT = {int}          # the entry types of an element in normal form
 
 
 class GroupError(ValueError):
@@ -199,6 +200,7 @@ class AbelianGroup:
         if self.rank < 0 or any(n < 2 for n in self.torsion):
             raise GroupError("rank must be >= 0 and torsion orders >= 2")
         self.dim = self.rank + len(self.torsion)
+        self._ranges = tuple(range(n) for n in self.torsion)
         if generators is None:
             generators = [tuple(1 if j == i else 0 for j in range(self.dim)) for i in range(self.dim)]
         self.generators = [self.check(g) for g in generators]
@@ -216,6 +218,11 @@ class AbelianGroup:
         return (0,) * self.dim
 
     def check(self, g):
+        # a tuple already in normal form is its own checked form
+        if (type(g) is tuple and len(g) == self.dim and {*map(type, g)} <= _INT
+                and (not self._ranges or all(map(range.__contains__, self._ranges,
+                                                 g[self.rank:])))):
+            return g
         try:
             v = tuple(map(operator.index, g))
         except TypeError:
@@ -225,6 +232,8 @@ class AbelianGroup:
         return self._normal(v)
 
     def _normal(self, v):
+        if not self.torsion:
+            return v
         out = list(v)
         for i, n in enumerate(self.torsion):
             out[self.rank + i] %= n

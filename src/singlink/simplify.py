@@ -100,14 +100,17 @@ def reduce_to_hopf(G, ctx, state):
     if state.type2_circles():
         raise SimplifyError("type II circles present; cancel them first")
     P = Recorder(G, ctx, state)
-    long_ids = {c.id for c in state.circles}
 
-    # 1: resolve every clasp between the entry circles, in sorted order;
-    # each resolution trades it for a meridian pair on the duals, whose
-    # clasps join a fresh circle
-    for a, b in [k for k in P.state.clasps
-                 if k[0] in long_ids and k[1] in long_ids]:
-        P.do("clasp_finger", a=a, b=b)
+    # 1: unless the clasps already match the circles in pairs (each circle
+    # in exactly one clasp, of two distinct circles), resolve every clasp
+    # of the input, in sorted order; each resolution trades it for a
+    # meridian pair on the duals, whose clasps join a fresh circle.  A
+    # matched state is what stage 2 would leave, and resolving its clasps
+    # would only double its cycles
+    ends = [x for k in state.clasps for x in k]
+    if not len(ends) == len(set(ends)) == len(state.circles):
+        for a, b in state.clasps:
+            P.do("clasp_finger", a=a, b=b)
 
     # 2: per pair, balance meridian counts across the two sides, split down
     # to one meridian per side, and surger away meridian-free pairs

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,27 @@ class TestAbelianGroup:
     def test_check_rejects_non_integer_coordinates(self, g):
         with pytest.raises(GroupError):
             AbelianGroup(1).check(g)
+
+    @pytest.mark.parametrize("args,g", [
+        ((1,), (5,)), ((1,), (-5,)), ((0, (2, 2)), (1, 0)), ((2, (6,)), (3, -4, 5)),
+        ((0, ()), ()),
+        ((1,), [5]), ((1,), (True,)), ((0, (2, 2)), (True, False)),
+        ((1,), (np.int64(5),)), ((0, (4,)), (7,)), ((0, (4,)), (-1,)),
+        ((2, (6,)), (3, -4, 6)), ((0, (4,)), (4,)),
+    ])
+    def test_check_keeps_normal_tuples(self, args, g):
+        # a tuple of ints already in normal form is returned as it is; any
+        # other element is read as before: its coordinates made ints and
+        # its torsion coordinates reduced
+        G = AbelianGroup(*args)
+        got = G.check(g)
+        want = tuple(operator.index(x) for x in g)
+        want = want[:G.rank] + tuple(
+            x % n for x, n in zip(want[G.rank:], G.torsion))
+        assert got == want and type(got) is tuple
+        assert all(type(x) is int for x in got)
+        assert (got is g) == (g == want and type(g) is tuple
+                              and all(type(x) is int for x in g))
 
 
 def cyclic_table(n):
